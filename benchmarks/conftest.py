@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark harness.
 
 Every module in this directory regenerates one table or figure of the
-paper's evaluation (Section 9); the mapping lives in ``DESIGN.md`` and
-``EXPERIMENTS.md``.  Benchmarks run on reduced dataset scales so the whole
+paper's evaluation (Section 9); ``README.md`` lists the commands that
+run them.  Benchmarks run on reduced dataset scales so the whole
 harness completes on a laptop CPU; the *shape* of each result (who wins, by
 roughly what factor) is what is being reproduced, not absolute numbers.
 

@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out (paper Section 8).
+"""Ablations over the estimators' design choices (paper Section 8).
 
 Beyond the paper's headline tables, these benchmarks quantify:
 

@@ -18,6 +18,7 @@ from .exceptions import ValidationError
 __all__ = [
     "check_array",
     "check_dtype",
+    "check_finite_norms",
     "as_float_array",
     "check_positive_int",
     "check_in",
@@ -160,6 +161,24 @@ def check_array(
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(arr)
+
+
+def check_finite_norms(x_squared_norms: np.ndarray, dtype) -> None:
+    """Reject data whose squared row norms overflow the working dtype.
+
+    :func:`check_array` already rejects NaN and infinite entries, so a
+    non-finite ``‖x‖²`` means finite rows too large to square in
+    ``dtype``.  Every distance built on such a norm is ``inf`` or NaN,
+    so the fit would report a meaningless model instead of failing.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(x_squared_norms)))
+    if bad:
+        name = np.dtype(dtype).name
+        raise ValidationError(
+            f"squared row norms overflow {name} for {bad} of "
+            f"{x_squared_norms.shape[0]} rows; rescale the data so "
+            f"that ||x||^2 is finite in {name}"
+        )
 
 
 def check_positive_int(value, name: str, *, minimum: int = 1) -> int:

@@ -70,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run the saved model's n_init restarts on this "
                           "many worker threads (default: sequential); "
                           "model selection is identical to sequential")
-    fit.add_argument("--n-threads", type=int, default=None,
-                     help="row-parallel kernel threads for the saved "
-                          "model's fit (default: single sweep, or the "
-                          "REPRO_N_THREADS environment variable); any "
-                          "thread count is bit-identical")
+    fit.add_argument("--n-threads", type=int, default=1,
+                     help="threads that run the saved model's fit kernels "
+                          "over blocks of 4096 rows (default 1: inline on "
+                          "the calling thread); any thread count is "
+                          "bit-identical")
     fit.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="write an atomic training checkpoint per "
                           "iteration under DIR while fitting the saved "

@@ -50,6 +50,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..runtime.parallel import INLINE_POOL
+
 __all__ = [
     "squared_distances",
     "assign_to_nearest",
@@ -64,24 +66,20 @@ def _working_dtype(X: np.ndarray) -> np.dtype:
     return X.dtype if X.dtype == np.dtype(np.float32) else np.dtype(np.float64)
 
 
-def row_norms_squared(X: np.ndarray, *, parallel=None) -> np.ndarray:
+def row_norms_squared(X: np.ndarray, *, parallel=INLINE_POOL) -> np.ndarray:
     """Squared Euclidean norm of every row of ``X`` (shape ``(n,)``).
 
-    ``parallel`` optionally supplies a
-    :class:`~repro.runtime.parallel.RowBlockPool`; the per-row reduction
-    is independent across rows, so the blocked result is bit-identical
-    to the single sweep *and* streams a memory-mapped ``X`` one block at
-    a time.
+    ``parallel`` is the :class:`~repro.runtime.parallel.RowBlockPool`
+    that runs the per-block reductions; rows are independent, so the
+    result does not depend on the partition, and a memory-mapped ``X``
+    is touched one block at a time.
     """
-    if parallel is None or X.shape[0] == 0:
-        return np.einsum("ij,ij->i", X, X)
-    parts = parallel.map(
+    return np.concatenate(parallel.map(
         lambda start, stop: np.einsum(
             "ij,ij->i", X[start:stop], X[start:stop]
         ),
         X.shape[0],
-    )
-    return np.concatenate(parts)
+    ))
 
 
 def paired_squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -105,8 +103,8 @@ def squared_distances(
     loops pay for it once per dataset instead of once per call.
     """
     if x_squared_norms is None:
-        x_squared_norms = row_norms_squared(X)
-    c_sq = row_norms_squared(C)[None, :]
+        x_squared_norms = np.einsum("ij,ij->i", X, X)
+    c_sq = np.einsum("ij,ij->i", C, C)[None, :]
     distances = x_squared_norms[:, None] - 2.0 * (X @ C.T) + c_sq
     np.maximum(distances, 0.0, out=distances)
     return distances
@@ -204,7 +202,7 @@ def assign_to_nearest(
     chunk_size: int = 0,
     x_squared_norms: Optional[np.ndarray] = None,
     return_second: bool = False,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> Tuple[np.ndarray, ...]:
     """Assign each row of ``X`` to its nearest row of ``C``.
 
@@ -214,20 +212,19 @@ def assign_to_nearest(
     C : array of shape (k, m)
     chunk_size : int
         If positive, process centroids in chunks of this many rows so that at
-        most ``n * chunk_size`` distances are materialized at a time.  This is
-        the memory-efficient mode used when ``k`` is large.
+        most ``block_rows * chunk_size`` distances are materialized at a
+        time.  This is the memory-efficient mode used when ``k`` is large.
     x_squared_norms : array of shape (n,), optional
         Precomputed ``||x||^2`` per row; pass it when assigning repeatedly
         against the same data to hoist the norm computation out of the loop.
     return_second : bool
         Also return the squared distance to the *second*-nearest centroid
         (``inf`` when ``k == 1``) — the seed of Hamerly-style pruning bounds.
-    parallel : RowBlockPool, optional
-        Row-parallel execution: each fixed row block is assigned by a pool
-        worker via this same function and the per-row outputs concatenated
-        in block order.  Rows are scored independently, so the result is
-        bit-identical at every pool width; a memory-mapped ``X`` is only
-        ever touched one block at a time.
+    parallel : RowBlockPool
+        Runs :func:`_assign_block` over the fixed row blocks; the per-row
+        outputs are concatenated in block order.  Rows are scored
+        independently, so the result is bit-identical at every pool
+        width, and a memory-mapped ``X`` is touched one block at a time.
 
     Returns
     -------
@@ -236,24 +233,30 @@ def assign_to_nearest(
         Squared distance of each point to its assigned centroid.
     second_distances : float array of shape (n,), only if ``return_second``
     """
-    n = X.shape[0]
-    k = C.shape[0]
-    if parallel is not None and n > 0:
-        if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        def _block(start, stop):
-            return assign_to_nearest(
-                X[start:stop], C, chunk_size=chunk_size,
-                x_squared_norms=x_squared_norms[start:stop],
-                return_second=return_second,
-            )
-
-        return merge_row_block_assignments(
-            parallel.map(_block, n), return_second
-        )
     if x_squared_norms is None:
-        x_squared_norms = row_norms_squared(X)
+        x_squared_norms = row_norms_squared(X, parallel=parallel)
+    return merge_row_block_assignments(
+        parallel.map(
+            lambda start, stop: _assign_block(
+                X[start:stop], C, chunk_size,
+                x_squared_norms[start:stop], return_second,
+            ),
+            X.shape[0],
+        ),
+        return_second,
+    )
+
+
+def _assign_block(
+    X: np.ndarray,
+    C: np.ndarray,
+    chunk_size: int,
+    x_squared_norms: np.ndarray,
+    return_second: bool,
+) -> Tuple[np.ndarray, ...]:
+    """Nearest-centroid assignment of one row block (see
+    :func:`assign_to_nearest`)."""
+    k = C.shape[0]
     if chunk_size <= 0 or chunk_size >= k:
         distances = squared_distances(X, C, x_squared_norms=x_squared_norms)
         labels = np.argmin(distances, axis=1)
@@ -263,7 +266,7 @@ def assign_to_nearest(
         return labels, best
 
     return _chunked_argmin(
-        n,
+        X.shape[0],
         k,
         chunk_size,
         lambda start, stop: squared_distances(

@@ -41,6 +41,7 @@ import numpy as np
 from .._validation import as_float_array, int_prod
 from ..exceptions import ValidationError
 from ..linalg import get_aggregator
+from ..runtime.parallel import INLINE_POOL, fold_blocks
 from ._distances import (
     _chunked_argmin,
     _row_min,
@@ -80,7 +81,7 @@ def assign_factored(
     chunk_size: int = 0,
     x_squared_norms: Optional[np.ndarray] = None,
     return_second: bool = False,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> Tuple[np.ndarray, ...]:
     """Assign rows of ``X`` to their nearest Khatri-Rao centroid, factored.
 
@@ -99,21 +100,22 @@ def assign_factored(
         Must advertise ``supports_factored_assignment`` (the sum aggregator).
     chunk_size : int
         If positive, sweep the flat tuple grid in chunks of this many
-        centroids so at most ``n * chunk_size`` partial scores exist at a
-        time — the memory-efficient mode gets the factored speedup too.
+        centroids so at most ``block_rows * chunk_size`` partial scores
+        exist at a time — the memory-efficient mode gets the factored
+        speedup too.
     x_squared_norms : array of shape (n,), optional
         Precomputed ``‖x‖²`` per row (hoisted out of Lloyd iterations).
     return_second : bool
         Also return the squared distance to the second-nearest centroid
         (``inf`` when ``∏ h_q == 1``), seeding Hamerly pruning bounds at no
         extra asymptotic cost.
-    parallel : RowBlockPool, optional
-        Row-parallel execution: each fixed row block computes its own
-        Grams and partial scores on a pool worker (this same function on
-        the slice), and the per-row outputs are concatenated in block
-        order.  Rows are scored independently, so the result is
-        bit-identical at every pool width, and a memory-mapped ``X`` is
-        only touched one block at a time.
+    parallel : RowBlockPool
+        Runs :func:`_assign_factored_block` over the fixed row blocks:
+        each block computes its own Grams and partial scores, and the
+        per-row outputs are concatenated in block order.  Rows are scored
+        independently, so the result is bit-identical at every pool
+        width, and a memory-mapped ``X`` is only touched one block at a
+        time.
 
     Returns
     -------
@@ -130,28 +132,34 @@ def assign_factored(
     # Dtype-preserving: float32 data scores in float32 (sgemm Grams, half-
     # bandwidth partial-score blocks); anything else widens to float64.
     X = as_float_array(X)
+    if x_squared_norms is None:
+        x_squared_norms = row_norms_squared(X, parallel=parallel)
+    return merge_row_block_assignments(
+        parallel.map(
+            lambda start, stop: _assign_factored_block(
+                X[start:stop], thetas, agg, chunk_size,
+                x_squared_norms[start:stop], return_second,
+            ),
+            X.shape[0],
+        ),
+        return_second,
+    )
+
+
+def _assign_factored_block(
+    X: np.ndarray,
+    thetas: Sequence[np.ndarray],
+    agg,
+    chunk_size: int,
+    x_squared_norms: np.ndarray,
+    return_second: bool,
+) -> Tuple[np.ndarray, ...]:
+    """Factored assignment of one row block (see :func:`assign_factored`)."""
     n = X.shape[0]
     cardinalities = tuple(theta.shape[0] for theta in thetas)
     # int_prod, not np.prod: the implicit grid size overflows int64 for
     # large configurations (e.g. eight sets of 256) and np.prod wraps.
     k = int_prod(cardinalities)
-    if parallel is not None and n > 0:
-        if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        def _block(start, stop):
-            return assign_factored(
-                X[start:stop], thetas, agg, chunk_size=chunk_size,
-                x_squared_norms=x_squared_norms[start:stop],
-                return_second=return_second,
-            )
-
-        return merge_row_block_assignments(
-            parallel.map(_block, n), return_second
-        )
-    if x_squared_norms is None:
-        x_squared_norms = row_norms_squared(X)
-
     grams = agg.cross_gram(X, thetas)  # p matrices of shape (n, h_q)
 
     second = None
@@ -167,15 +175,25 @@ def assign_factored(
         # per-set tables, so nothing of size k is ever allocated and the
         # memory mode's bounded-peak guarantee carries over.
         self_term_block = agg.self_interaction_blocks(thetas)
+        # Doubling is exact, so 2·G_q gathered equals 2·(G_q gathered).
+        doubled_grams = [2.0 * gram for gram in grams]
+        dtype = _working_dtype(grams[0])
+        # Two (n, chunk) buffers reused by every chunk: _chunked_argmin
+        # consumes each score block before asking for the next, and a
+        # fresh buffer of that size page-faults on first touch at a cost
+        # that rivals the arithmetic itself.
+        scores = np.empty((n, min(chunk_size, k)), dtype=dtype)
+        gathered = np.empty_like(scores)
         result = _chunked_argmin(
             n,
             k,
             chunk_size,
             lambda start, stop: _partial_score_block(
-                grams, self_term_block, cardinalities, start, stop
+                doubled_grams, self_term_block, cardinalities, start, stop,
+                scores[:, : stop - start], gathered[:, : stop - start],
             ),
             return_second=return_second,
-            dtype=_working_dtype(grams[0]),
+            dtype=dtype,
         )
         if return_second:
             labels, best, second = result
@@ -210,26 +228,31 @@ def _full_partial_scores(
 
 
 def _partial_score_block(
-    grams: Sequence[np.ndarray],
+    doubled_grams: Sequence[np.ndarray],
     self_term_block: Callable[[Sequence[np.ndarray]], np.ndarray],
     cardinalities: Tuple[int, ...],
     start: int,
     stop: int,
+    out: np.ndarray,
+    gathered: np.ndarray,
 ) -> np.ndarray:
-    """Partial scores for flat centroid indices ``[start, stop)``."""
+    """Partial scores ``S − 2 Σ_q G_q`` for flat centroid indices
+    ``[start, stop)`` into ``out``, given the doubled Grams ``2 G_q``.
+
+    Accumulates left to right, ``((S − 2G_0) − 2G_1) − …``; ``gathered``
+    is scratch of ``out``'s shape.
+    """
     tuple_indices = np.unravel_index(np.arange(start, stop), cardinalities)
-    block = np.broadcast_to(
-        self_term_block(tuple_indices)[None, :],
-        (grams[0].shape[0], stop - start),
-    ).copy()
-    for gram, indices in zip(grams, tuple_indices):
-        block -= 2.0 * gram[:, indices]
-    return block
+    out[...] = self_term_block(tuple_indices)
+    for gram, indices in zip(doubled_grams, tuple_indices):
+        np.take(gram, indices, axis=1, out=gathered)
+        out -= gathered
+    return out
 
 
 def grouped_row_sum(
     assignments: np.ndarray, values: np.ndarray, num_groups: int,
-    parallel=None,
+    parallel=INLINE_POOL, weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sum rows of ``values`` into ``num_groups`` buckets given by ``assignments``.
 
@@ -253,27 +276,33 @@ def grouped_row_sum(
     float32 element widens to float64 exactly, so the result is
     bit-identical to summing a pre-widened copy.
 
-    With ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`),
-    each fixed row block computes its own fused-bincount partial and the
-    partials are **summed in ascending block order** — the accumulation
-    split is fixed by the block boundaries alone, so the result is
-    bit-identical at every pool width (and may differ from the single
-    sweep only in the last ulp, the same documented reorder the
-    ``update=`` knob carries).
+    ``weights`` (shape ``(n,)``) sums ``w·values`` instead, weighting one
+    row block at a time so no full ``(n, m)`` product is ever built.
+
+    ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`) runs
+    one fused-bincount partial per fixed row block, and the partials are
+    **summed in ascending block order** — the accumulation split is fixed
+    by the block boundaries alone, so the result is bit-identical at
+    every pool width.
     """
     values = as_float_array(values)
-    n, m = values.shape
-    if parallel is not None and n > 0:
-        parts = parallel.map(
-            lambda start, stop: grouped_row_sum(
-                assignments[start:stop], values[start:stop], num_groups
-            ),
-            n,
-        )
-        out = parts[0]
-        for part in parts[1:]:
-            out += part
-        return out
+
+    def _block(start, stop):
+        block = values[start:stop]
+        if weights is not None:
+            block = block * np.asarray(
+                weights[start:stop], dtype=values.dtype
+            )[:, None]
+        return _grouped_row_sum_block(assignments[start:stop], block, num_groups)
+
+    return fold_blocks(parallel.map(_block, values.shape[0]))
+
+
+def _grouped_row_sum_block(
+    assignments: np.ndarray, values: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """One fused-bincount partial of :func:`grouped_row_sum` (one block)."""
+    m = values.shape[1]
     if m == 0:
         return np.zeros((num_groups, m), dtype=np.float64)
     fused = assignments.astype(np.int64, copy=False)[:, None] * m + np.arange(

@@ -70,7 +70,8 @@ import numpy as np
 from .._validation import as_float_array
 from ..exceptions import ValidationError
 from ..linalg import get_aggregator
-from ._factored import grouped_row_sum
+from ..runtime.parallel import INLINE_POOL, fold_blocks
+from ._factored import _grouped_row_sum_block, grouped_row_sum
 
 __all__ = [
     "UPDATE_MODES",
@@ -125,46 +126,38 @@ def pair_count_tables(
     set_labels: np.ndarray,
     cardinalities: Sequence[int],
     weights: Optional[np.ndarray] = None,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> List[List[Optional[np.ndarray]]]:
     """All pairwise contingency tables of weighted co-assignment counts.
 
     ``tables[q][r][j, l] = Σ_{i : a_q(i)=j, a_r(i)=l} w_i`` for ``q ≠ r``
     (``w_i = 1`` without weights), each unordered pair computed with one
-    fused ``bincount``; ``tables[r][q]`` shares the transpose rather than
-    recounting.  Diagonal entries are ``None``.
+    fused ``bincount`` per row block; ``tables[r][q]`` shares the
+    transpose rather than recounting.  Diagonal entries are ``None``.
 
-    With ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`),
-    each fixed row block counts its own tables and the partials are
-    summed in ascending block order — bit-identical at every pool width.
-    ``tables[r][q]`` stays a live transpose view of ``tables[q][r]``
-    through the in-place fold.
+    ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`) counts
+    each fixed row block's tables and sums the partials in ascending
+    block order — bit-identical at every pool width.
     """
     p = len(cardinalities)
-    n = set_labels.shape[0]
-    if parallel is not None and n > 0:
-        parts = parallel.map(
-            lambda start, stop: pair_count_tables(
-                set_labels[start:stop], cardinalities,
-                None if weights is None else weights[start:stop],
-            ),
-            n,
-        )
-        tables = parts[0]
-        for part in parts[1:]:
-            for q in range(p):
-                for r in range(q + 1, p):
-                    tables[q][r] += part[q][r]
-        return tables
-    tables: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
-    for q in range(p):
-        for r in range(q + 1, p):
-            table = _pair_table(
-                set_labels[:, q], set_labels[:, r],
-                int(cardinalities[q]), int(cardinalities[r]), weights,
+    pairs = [(q, r) for q in range(p) for r in range(q + 1, p)]
+
+    def _block(start, stop):
+        w = None if weights is None else weights[start:stop]
+        return [
+            _pair_table(
+                set_labels[start:stop, q], set_labels[start:stop, r],
+                int(cardinalities[q]), int(cardinalities[r]), w,
             )
-            tables[q][r] = table
-            tables[r][q] = table.T
+            for q, r in pairs
+        ]
+
+    parts = parallel.map(_block, set_labels.shape[0])
+    tables: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
+    for i, (q, r) in enumerate(pairs):
+        table = fold_blocks([part[i] for part in parts])
+        tables[q][r] = table
+        tables[r][q] = table.T
     return tables
 
 
@@ -222,68 +215,24 @@ def sum_sufficient_statistics(
 
 def _group_mass(
     assignments: np.ndarray, weights: Optional[np.ndarray], num_groups: int,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> np.ndarray:
-    """Weighted point mass per protocentroid — one ``bincount``, shared by
-    the update denominator and the empty-cluster reseed.
+    """Weighted point mass per protocentroid — one ``bincount`` per row
+    block, shared by the update denominator and the empty-cluster reseed.
 
-    Blocked (``parallel``): per-block partial masses summed in block
-    order.  Unweighted masses are integer-valued, so they fold exactly
-    at every split; weighted masses follow the standard blocked-sum
-    contract (bit-identical across pool widths).
+    Per-block partial masses are summed in block order.  Unweighted
+    masses are integer-valued, so they fold exactly at every split;
+    weighted masses follow the standard blocked-sum contract
+    (bit-identical across pool widths).
     """
-    if parallel is not None and assignments.shape[0] > 0:
-        parts = parallel.map(
-            lambda start, stop: _group_mass(
-                assignments[start:stop],
-                None if weights is None else weights[start:stop],
-                num_groups,
-            ),
-            assignments.shape[0],
-        )
-        out = parts[0]
-        for part in parts[1:]:
-            out += part
-        return out
-    return np.bincount(
-        assignments, weights=weights, minlength=num_groups
-    ).astype(float, copy=False)
-
-
-def _weighted_grouped_row_sum(
-    assignments: np.ndarray,
-    X: np.ndarray,
-    weights: Optional[np.ndarray],
-    num_groups: int,
-    parallel,
-) -> np.ndarray:
-    """``grouped_row_sum(a, w·X)`` without ever materializing all of ``w·X``.
-
-    The blocked path weights one row block at a time before its fused
-    bincount — so a memory-mapped ``X`` streams through the update and the
-    only full-width temporaries are per-block.  The ``X[s:e] * w[s:e]``
-    products are elementwise (identical values under any partition) and the
-    partials fold in block order, preserving the pool-width bit-identity
-    contract.
-    """
-    if parallel is None or X.shape[0] == 0:
-        Xw = (
-            X if weights is None
-            else X * np.asarray(weights, dtype=X.dtype)[:, None]
-        )
-        return grouped_row_sum(assignments, Xw, num_groups)
-
-    def _block(start, stop):
-        Xb = X[start:stop]
-        if weights is not None:
-            Xb = Xb * np.asarray(weights[start:stop], dtype=X.dtype)[:, None]
-        return grouped_row_sum(assignments[start:stop], Xb, num_groups)
-
-    parts = parallel.map(_block, X.shape[0])
-    out = parts[0]
-    for part in parts[1:]:
-        out += part
-    return out
+    return fold_blocks(parallel.map(
+        lambda start, stop: np.bincount(
+            assignments[start:stop],
+            weights=None if weights is None else weights[start:stop],
+            minlength=num_groups,
+        ).astype(float, copy=False),
+        assignments.shape[0],
+    ))
 
 
 def _reseed_empty(
@@ -314,7 +263,7 @@ def update_factored(
     aggregator="sum",
     rng: Optional[np.random.Generator] = None,
     weights: Optional[np.ndarray] = None,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> List[np.ndarray]:
     """Closed-form protocentroid update via contingency tables.
 
@@ -340,12 +289,12 @@ def update_factored(
         up empty.
     weights : array of shape (n,), optional
         Per-point weights of the weighted Proposition 6.1.
-    parallel : RowBlockPool, optional
-        Row-parallel execution: contingency tables, grouped sums and
-        masses are computed as per-block partials folded in fixed block
-        order (bit-identical at every pool width); the Gauss-Seidel set
-        order is untouched.  Also the memmap seam — a mapped ``X`` is
-        weighted and reduced one block at a time.
+    parallel : RowBlockPool
+        Contingency tables, grouped sums and masses are computed as
+        per-block partials folded in fixed block order (bit-identical at
+        every pool width); the Gauss-Seidel set order is untouched.  Also
+        the memmap seam — a mapped ``X`` is weighted and reduced one
+        block at a time.
 
     Returns
     -------
@@ -359,23 +308,14 @@ def update_factored(
         )
     X = as_float_array(X)
     cardinalities = tuple(theta.shape[0] for theta in thetas)
-    # The legacy path hoists w·X once for all p grouped sums; the blocked
-    # path instead re-weights per block inside _weighted_grouped_row_sum so
-    # no (n, m) temporary exists (the memmap contract).
-    Xw = None if parallel is not None else (
-        X if weights is None else X * np.asarray(weights, dtype=X.dtype)[:, None]
-    )
     tables = pair_count_tables(set_labels, cardinalities, weights, parallel)
     new_thetas = [as_float_array(theta).copy() for theta in thetas]
     for q, h in enumerate(cardinalities):
         assignments = set_labels[:, q]
         mass = _group_mass(assignments, weights, h, parallel)
-        if parallel is None:
-            grouped_x = grouped_row_sum(assignments, Xw, h)
-        else:
-            grouped_x = _weighted_grouped_row_sum(
-                assignments, X, weights, h, parallel
-            )
+        # w·X is formed one row block at a time inside grouped_row_sum, so
+        # no (n, m) temporary exists (the memmap contract).
+        grouped_x = grouped_row_sum(assignments, X, h, parallel, weights)
         numerator = factored_sum_numerator(q, new_thetas, grouped_x, tables)
         updated = new_thetas[q]
         non_empty = mass > 0
@@ -391,7 +331,7 @@ def update_gather(
     aggregator="sum",
     rng: Optional[np.random.Generator] = None,
     weights: Optional[np.ndarray] = None,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> List[np.ndarray]:
     """Closed-form protocentroid update with per-point rest gathers.
 
@@ -401,10 +341,10 @@ def update_gather(
     ``O(p·n·m)`` per call.  The factored kernel reproduces it to last-ulp
     drift for decomposable aggregators.
 
-    Blocked (``parallel``): each row block gathers its own rest slice and
-    reduces it, partials folded in block order — the ``(n, m)`` rest
-    temporaries shrink to per-block size (the memmap seam) and results are
-    bit-identical at every pool width.
+    Each row block gathers its own rest slice and reduces it, partials
+    folded in block order — the ``(n, m)`` rest temporaries shrink to
+    per-block size (the memmap seam) and results are bit-identical at
+    every pool width.
     """
     agg = get_aggregator(aggregator)
     X = as_float_array(X)
@@ -420,67 +360,36 @@ def update_gather(
         assignments = set_labels[:, q]
         mass = _group_mass(assignments, weights, h, parallel)
         updated = new_thetas[q]
-        if parallel is not None and X.shape[0] > 0:
 
-            def _block(start, stop):
-                rest_b = _rest_contribution(
-                    agg, new_thetas, set_labels[start:stop], q, m
-                )
-                Xb = X[start:stop]
-                a_b = assignments[start:stop]
-                wc_b = None if w_column is None else w_column[start:stop]
-                if is_product:
-                    x_rest = Xb * rest_b if wc_b is None else Xb * rest_b * wc_b
-                    r_rest = (
-                        rest_b * rest_b if wc_b is None
-                        else rest_b * rest_b * wc_b
-                    )
-                    return (
-                        grouped_row_sum(a_b, x_rest, h),
-                        grouped_row_sum(a_b, r_rest, h),
-                    )
-                diff = Xb - rest_b if wc_b is None else (Xb - rest_b) * wc_b
-                return grouped_row_sum(a_b, diff, h)
-
-            parts = parallel.map(_block, X.shape[0])
-            if is_product:
-                numerator = parts[0][0]
-                denominator = parts[0][1]
-                for part in parts[1:]:
-                    numerator += part[0]
-                    denominator += part[1]
-                safe = denominator > _EPSILON
-                updated[safe] = numerator[safe] / denominator[safe]
-            else:
-                numerator = parts[0]
-                for part in parts[1:]:
-                    numerator += part
-                non_empty = mass > 0
-                updated[non_empty] = (
-                    numerator[non_empty] / mass[non_empty, None]
-                )
-        else:
-            rest = _rest_contribution(agg, new_thetas, set_labels, q, m)
+        def _block(start, stop):
+            rest = _rest_contribution(
+                agg, new_thetas, set_labels[start:stop], q, m
+            )
+            Xb = X[start:stop]
+            a_b = assignments[start:stop]
+            wc_b = None if w_column is None else w_column[start:stop]
             if is_product:
                 # θ_q^j = Σ w·x ⊙ rest / Σ w·rest ⊙ rest over points with
                 # a_q = j (weighted Proposition 6.1).
-                x_rest = X * rest if w_column is None else X * rest * w_column
-                r_rest = (
-                    rest * rest if w_column is None
-                    else rest * rest * w_column
+                x_rest = Xb * rest if wc_b is None else Xb * rest * wc_b
+                r_rest = rest * rest if wc_b is None else rest * rest * wc_b
+                return (
+                    _grouped_row_sum_block(a_b, x_rest, h),
+                    _grouped_row_sum_block(a_b, r_rest, h),
                 )
-                numerator = grouped_row_sum(assignments, x_rest, h)
-                denominator = grouped_row_sum(assignments, r_rest, h)
-                safe = denominator > _EPSILON
-                updated[safe] = numerator[safe] / denominator[safe]
-            else:
-                # θ_q^j = Σ w·(x − rest) / Σ w over points with a_q = j.
-                diff = X - rest if w_column is None else (X - rest) * w_column
-                numerator = grouped_row_sum(assignments, diff, h)
-                non_empty = mass > 0
-                updated[non_empty] = (
-                    numerator[non_empty] / mass[non_empty, None]
-                )
+            # θ_q^j = Σ w·(x − rest) / Σ w over points with a_q = j.
+            diff = Xb - rest if wc_b is None else (Xb - rest) * wc_b
+            return (_grouped_row_sum_block(a_b, diff, h),)
+
+        parts = parallel.map(_block, X.shape[0])
+        numerator = fold_blocks([part[0] for part in parts])
+        if is_product:
+            denominator = fold_blocks([part[1] for part in parts])
+            safe = denominator > _EPSILON
+            updated[safe] = numerator[safe] / denominator[safe]
+        else:
+            non_empty = mass > 0
+            updated[non_empty] = numerator[non_empty] / mass[non_empty, None]
         _reseed_empty(updated, mass, X, agg, rng, len(thetas), q)
     return new_thetas
 
@@ -493,7 +402,7 @@ def update_protocentroids(
     rng: Optional[np.random.Generator] = None,
     weights: Optional[np.ndarray] = None,
     factored: Optional[bool] = None,
-    parallel=None,
+    parallel=INLINE_POOL,
 ) -> List[np.ndarray]:
     """Dispatch one closed-form update to the factored or gather kernel.
 

@@ -18,6 +18,7 @@ import numpy as np
 from .._validation import (
     check_array,
     check_dtype,
+    check_finite_norms,
     check_in,
     check_positive_int,
     check_random_state,
@@ -33,7 +34,7 @@ from ..runtime.checkpoint import (
     write_checkpoint,
 )
 from ..runtime.executor import resolve_executor, run_restarts
-from ..runtime.parallel import open_row_pool, resolve_parallel
+from ..runtime.parallel import INLINE_POOL, RowBlockPool, resolve_parallel
 from ._bounds import HamerlyBounds, check_pruning, dense_drift, hamerly_step
 from ._distances import (
     assign_to_nearest,
@@ -170,18 +171,17 @@ class KMeans:
         ``rng.spawn`` streams: the result is identical at every worker
         count, and restart failures are retried/tolerated per the
         config.  Incompatible with ``checkpoint``/``resume_from``.
-    n_threads : None, int or ParallelConfig
-        ``None`` (default) keeps the legacy single-sweep kernels —
-        bit-compatible with every earlier release — unless the
-        ``REPRO_N_THREADS`` environment variable engages the blocked
-        layer suite-wide.  An int (or a full
-        :class:`~repro.runtime.parallel.ParallelConfig`) runs the
-        per-iteration kernels over fixed row blocks on a supervised
-        thread pool: block boundaries depend only on ``(n, block_rows)``
-        and reductions merge in block order, so any two thread counts
-        are bit-identical.  Composes with ``n_jobs`` (restart workers
-        share the pool) and is the seam that streams a
-        :class:`numpy.memmap` ``X`` through ``fit`` block by block.
+    n_threads : int or ParallelConfig
+        Threads that run the per-iteration kernels.  The kernels always
+        sweep fixed blocks of 4096 rows
+        (:class:`~repro.runtime.parallel.ParallelConfig` sets another
+        size); with ``1`` (default) the blocks run inline on the calling
+        thread, with more on a supervised thread pool.  Block boundaries
+        depend only on ``(n, block_rows)`` and reductions merge in block
+        order, so every thread count gives the bit-identical model.
+        Composes with ``n_jobs`` (restart workers share the pool) and is
+        the seam that streams a :class:`numpy.memmap` ``X`` through
+        ``fit`` block by block.
 
     Attributes
     ----------
@@ -223,7 +223,7 @@ class KMeans:
         resume_from=None,
         callback=None,
         n_jobs=None,
-        n_threads=None,
+        n_threads=1,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, "n_clusters")
         self.init = check_in(init, "init", ("k-means++", "random"))
@@ -269,12 +269,13 @@ class KMeans:
         X = check_array(X, min_samples=self.n_clusters, dtype=self.dtype_)
         weights = _check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
         rng = check_random_state(self.random_state)
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             return self._fit(X, sample_weight, weights, rng, pool)
 
     def _fit(self, X, sample_weight, weights, rng, parallel) -> "KMeans":
         # ‖x‖² is constant across iterations and restarts — pay for it once.
         x_squared_norms = row_norms_squared(X, parallel=parallel)
+        check_finite_norms(x_squared_norms, X.dtype)
 
         # ... and so is the weighted data matrix feeding the centroid sums.
         # Unweighted fits reuse X itself: X·1 is exact, so results are
@@ -385,7 +386,7 @@ class KMeans:
                 f"X has {X.shape[1]} features, model was fitted with "
                 f"{self.cluster_centers_.shape[1]}"
             )
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             labels, _ = assign_to_nearest(
                 X, self.cluster_centers_, parallel=pool
             )
@@ -401,7 +402,7 @@ class KMeans:
         """Negative inertia of ``X`` under the learned centroids."""
         self._check_fitted()
         X = check_array(X, dtype=self.cluster_centers_.dtype)
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             _, distances = assign_to_nearest(
                 X, self.cluster_centers_, parallel=pool
             )
@@ -435,7 +436,7 @@ class KMeans:
         labels: np.ndarray,
         bounds: Optional[HamerlyBounds],
         x_squared_norms: np.ndarray,
-        parallel=None,
+        parallel=INLINE_POOL,
     ):
         """One assignment pass; returns ``(labels, min_distances_or_None)``.
 
@@ -451,15 +452,12 @@ class KMeans:
             # Active-set tightening, row-blocked over the *subset*: each
             # row's distance is independent, so the blocked sweep is
             # bit-identical and gathers only one block of rows at a time.
-            if parallel is None or idx.size == 0:
-                return paired_squared_distances(X[idx], centers[labels[idx]])
-            parts = parallel.map(
+            return np.concatenate(parallel.map(
                 lambda start, stop: paired_squared_distances(
                     X[idx[start:stop]], centers[labels[idx[start:stop]]]
                 ),
                 idx.size,
-            )
-            return np.concatenate(parts)
+            ))
 
         def rescore(idx):
             if idx is None:
@@ -586,7 +584,7 @@ class KMeans:
         resume=None,
         fingerprint=None,
         best_state=None,
-        parallel=None,
+        parallel=INLINE_POOL,
     ):
         if resume is None:
             centers = self._init_centers(X, rng)

@@ -95,6 +95,7 @@ from .._validation import (
     check_array,
     check_cardinalities,
     check_dtype,
+    check_finite_norms,
     check_in,
     check_positive_int,
     check_random_state,
@@ -115,7 +116,7 @@ from ..runtime.checkpoint import (
     write_checkpoint,
 )
 from ..runtime.executor import resolve_executor, run_restarts
-from ..runtime.parallel import open_row_pool, resolve_parallel
+from ..runtime.parallel import INLINE_POOL, RowBlockPool, resolve_parallel
 from ..linalg import (
     get_aggregator,
     khatri_rao_combine,
@@ -262,20 +263,19 @@ class KhatriRaoKMeans:
         ``rng.spawn`` streams: identical result at every worker count,
         restart failures retried/tolerated per the config.  Incompatible
         with ``checkpoint``/``resume_from``.
-    n_threads : None, int or ParallelConfig
-        ``None`` (default) keeps the legacy single-sweep kernels —
-        bit-compatible with every earlier release — unless the
-        ``REPRO_N_THREADS`` environment variable engages the blocked
-        layer suite-wide.  An int (or a full
-        :class:`~repro.runtime.parallel.ParallelConfig`) runs
-        assignment, updates and bound sweeps over fixed row blocks on a
-        supervised thread pool: block boundaries depend only on
-        ``(n, block_rows)`` and reductions merge in ascending block
-        order, so any two thread counts produce bit-identical labels,
-        inertia and iteration counts.  Composes with ``n_jobs`` (restart
-        workers share the pool) and is the seam that streams a
-        :class:`numpy.memmap` ``X`` through ``fit`` block by block —
-        larger-than-RAM datasets train through the identical code path.
+    n_threads : int or ParallelConfig
+        Threads that run assignment, updates and bound sweeps.  The
+        kernels always sweep fixed blocks of 4096 rows
+        (:class:`~repro.runtime.parallel.ParallelConfig` sets another
+        size); with ``1`` (default) the blocks run inline on the calling
+        thread, with more on a supervised thread pool.  Block boundaries
+        depend only on ``(n, block_rows)`` and reductions merge in
+        ascending block order, so every thread count produces
+        bit-identical labels, inertia and iteration counts.  Composes
+        with ``n_jobs`` (restart workers share the pool) and is the seam
+        that streams a :class:`numpy.memmap` ``X`` through ``fit`` block
+        by block — larger-than-RAM datasets train through the identical
+        code path.
 
     Attributes
     ----------
@@ -331,7 +331,7 @@ class KhatriRaoKMeans:
         resume_from=None,
         callback=None,
         n_jobs=None,
-        n_threads=None,
+        n_threads=1,
     ) -> None:
         self.cardinalities = check_cardinalities(cardinalities)
         self.aggregator = get_aggregator(aggregator)
@@ -436,13 +436,14 @@ class KhatriRaoKMeans:
             else _check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
         )
         rng = check_random_state(self.random_state)
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             return self._fit(X, weights, rng, pool)
 
     def _fit(self, X, weights, rng, parallel) -> "KhatriRaoKMeans":
         materialize = self._should_materialize(X)
         # ‖x‖² is constant across iterations and restarts — pay for it once.
         x_squared_norms = row_norms_squared(X, parallel=parallel)
+        check_finite_norms(x_squared_norms, X.dtype)
 
         if self.n_jobs is not None:
             # Supervised parallel sweep: per-restart spawned streams, so
@@ -538,7 +539,7 @@ class KhatriRaoKMeans:
                 f"X has {X.shape[1]} features, model was fitted with "
                 f"{self.protocentroids_[0].shape[1]}"
             )
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             labels, _ = self._assign(
                 X, self.protocentroids_, self._should_materialize(X),
                 parallel=pool,
@@ -630,7 +631,7 @@ class KhatriRaoKMeans:
         materialize: bool,
         x_squared_norms: Optional[np.ndarray] = None,
         return_second: bool = False,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> Tuple[np.ndarray, ...]:
         if self.uses_factored_assignment:
             # Memory mode sweeps the tuple grid in chunks; time mode scores
@@ -664,34 +665,30 @@ class KhatriRaoKMeans:
         thetas: List[np.ndarray],
         x_squared_norms: Optional[np.ndarray] = None,
         return_second: bool = False,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> Tuple[np.ndarray, ...]:
-        if parallel is not None and X.shape[0] > 0:
-            # Row-block the memory-mode sweep: each block runs its own
-            # centroid-chunk argmin (rows are scored independently, so the
-            # blocked result is bit-identical at every pool width).
-            if x_squared_norms is None:
-                x_squared_norms = row_norms_squared(X, parallel=parallel)
-            parts = parallel.map(
-                lambda start, stop: self._assign_chunked(
-                    X[start:stop], thetas, x_squared_norms[start:stop],
-                    return_second,
-                ),
-                X.shape[0],
-            )
-            return merge_row_block_assignments(parts, return_second)
+        # Row-blocked memory-mode sweep: each block runs its own
+        # centroid-chunk argmin (rows are scored independently, so the
+        # result is bit-identical at every pool width).
         if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X)
-        return _chunked_argmin(
-            X.shape[0],
-            self.n_clusters,
-            self.chunk_size,
-            lambda start, stop: squared_distances(
-                X,
-                self._materialize_chunk(thetas, start, stop),
-                x_squared_norms=x_squared_norms,
-            ),
-            return_second=return_second,
+            x_squared_norms = row_norms_squared(X, parallel=parallel)
+
+        def _block(start, stop):
+            X_b = X[start:stop]
+            return _chunked_argmin(
+                stop - start,
+                self.n_clusters,
+                self.chunk_size,
+                lambda c_start, c_stop: squared_distances(
+                    X_b,
+                    self._materialize_chunk(thetas, c_start, c_stop),
+                    x_squared_norms=x_squared_norms[start:stop],
+                ),
+                return_second=return_second,
+            )
+
+        return merge_row_block_assignments(
+            parallel.map(_block, X.shape[0]), return_second
         )
 
     def _combine_rows(
@@ -714,7 +711,7 @@ class KhatriRaoKMeans:
         labels: np.ndarray,
         set_labels: Optional[np.ndarray],
         bounds: HamerlyBounds,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> Tuple[np.ndarray, float]:
         """One Lloyd assignment pass under Hamerly bounds.
 
@@ -726,23 +723,19 @@ class KhatriRaoKMeans:
         unpruned argmin exactly wherever it actually recomputes.  Returns
         the labels and the fraction of points fully re-scored.
 
-        With ``parallel`` both sweeps go block-parallel: the tightening
-        gather over the active set splits on fixed blocks of ``idx`` (each
-        active point's distance is independent, so concatenation is exact),
-        and the rescore routes through the row-blocked assignment kernels.
+        Both sweeps are row-blocked: the tightening gather over the active
+        set splits on fixed blocks of ``idx`` (each active point's distance
+        is independent, so concatenation is exact), and the rescore routes
+        through the row-blocked assignment kernels.
         """
         def exact_squared(idx):
-            if parallel is None or idx.size == 0:
-                assigned = self._combine_rows(thetas, set_labels[idx])
-                return paired_squared_distances(X[idx], assigned)
-            parts = parallel.map(
+            return np.concatenate(parallel.map(
                 lambda start, stop: paired_squared_distances(
                     X[idx[start:stop]],
                     self._combine_rows(thetas, set_labels[idx[start:stop]]),
                 ),
                 idx.size,
-            )
-            return np.concatenate(parts)
+            ))
 
         def rescore(idx):
             if idx is None:
@@ -774,7 +767,7 @@ class KhatriRaoKMeans:
         set_labels: np.ndarray,
         rng: np.random.Generator,
         weights: Optional[np.ndarray] = None,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> List[np.ndarray]:
         """One closed-form update sweep, routed by the ``update`` knob.
 
@@ -944,7 +937,7 @@ class KhatriRaoKMeans:
         resume=None,
         fingerprint=None,
         best_state=None,
-        parallel=None,
+        parallel=INLINE_POOL,
     ):
         factored = self.uses_factored_assignment
         if resume is None:

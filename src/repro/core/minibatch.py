@@ -49,6 +49,7 @@ from .._validation import (
     check_array,
     check_cardinalities,
     check_dtype,
+    check_finite_norms,
     check_in,
     check_positive_int,
     check_random_state,
@@ -63,7 +64,7 @@ from ..runtime.checkpoint import (
     serialize_rng_state,
     write_checkpoint,
 )
-from ..runtime.parallel import open_row_pool, resolve_parallel
+from ..runtime.parallel import INLINE_POOL, RowBlockPool, resolve_parallel
 from ..linalg import (
     get_aggregator,
     khatri_rao_combine,
@@ -82,7 +83,6 @@ from ._update import (
     UPDATE_MODES,
     _group_mass,
     _rest_contribution,
-    _weighted_grouped_row_sum,
     factored_sum_numerator,
     pair_count_tables,
     resolve_update,
@@ -218,15 +218,14 @@ class MiniBatchKhatriRaoKMeans:
         fit has no restarts; the signature matches the batch
         estimators').  A callback raising ``KeyboardInterrupt`` triggers
         the graceful-interrupt path.
-    n_threads : None, int or ParallelConfig
-        ``None`` (default) keeps the legacy single-sweep kernels —
-        bit-compatible with every earlier release — unless the
-        ``REPRO_N_THREADS`` environment variable engages the blocked
-        layer suite-wide.  An int (or a full
-        :class:`~repro.runtime.parallel.ParallelConfig`) runs each
-        batch's assignment and sufficient statistics, plus the final
-        full-data labeling, over fixed row blocks on a supervised
-        thread pool — bit-identical at every pool width, and the seam
+    n_threads : int or ParallelConfig
+        Threads that run each batch's assignment and sufficient
+        statistics, plus the final full-data labeling.  The kernels
+        always sweep fixed blocks of 4096 rows
+        (:class:`~repro.runtime.parallel.ParallelConfig` sets another
+        size); with ``1`` (default) the blocks run inline on the calling
+        thread, with more on a supervised thread pool.  Every thread
+        count gives the bit-identical model, and the blocks are the seam
         that lets :meth:`fit` stream a :class:`numpy.memmap` ``X``
         (batches are gathered copies; only the final labeling touches
         the map, block by block).
@@ -285,7 +284,7 @@ class MiniBatchKhatriRaoKMeans:
         checkpoint=None,
         resume_from=None,
         callback=None,
-        n_threads=None,
+        n_threads=1,
     ) -> None:
         self.cardinalities = check_cardinalities(cardinalities)
         self.aggregator = get_aggregator(aggregator)
@@ -368,11 +367,12 @@ class MiniBatchKhatriRaoKMeans:
         # partial_fit calls names a different universe.
         self._stream_state = None
         self.last_batch_stats_ = None
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             return self._fit(X, weights, rng, pool)
 
     def _fit(self, X, weights, rng, parallel) -> "MiniBatchKhatriRaoKMeans":
         x_squared_norms = row_norms_squared(X, parallel=parallel)
+        check_finite_norms(x_squared_norms, X.dtype)
         # The full-pass sha256 fingerprint only feeds checkpoint headers;
         # plain fits (and streamed memmap fits) skip it entirely.
         fingerprint = (
@@ -474,11 +474,15 @@ class MiniBatchKhatriRaoKMeans:
         )
         index = self._check_stream_index(index, batch.shape[0])
         rng = check_random_state(self.random_state)
-        if self.protocentroids_ is None:
-            self._initialize(batch, rng)
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
+            x_squared_norms = row_norms_squared(batch, parallel=pool)
+            check_finite_norms(x_squared_norms, batch.dtype)
+            if self.protocentroids_ is None:
+                self._initialize(batch, rng)
             if index is not None and self.uses_pruning:
-                self._indexed_partial_fit_batch(batch, index, weights, pool)
+                self._indexed_partial_fit_batch(
+                    batch, index, x_squared_norms, weights, pool
+                )
             else:
                 self.partial_fit_batch(
                     batch, rng, sample_weight=weights, parallel=pool
@@ -514,7 +518,7 @@ class MiniBatchKhatriRaoKMeans:
                 "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
             )
         X = check_array(X, dtype=self.protocentroids_[0].dtype)
-        with open_row_pool(self.n_threads) as pool:
+        with RowBlockPool(self.n_threads) as pool:
             labels, _ = self._assign(X, parallel=pool)
         return labels
 
@@ -535,7 +539,9 @@ class MiniBatchKhatriRaoKMeans:
         return int(sum(theta.size for theta in self.protocentroids_))
 
     # ------------------------------------------------------------ internals
-    def _assign(self, X: np.ndarray, return_second: bool = False, parallel=None):
+    def _assign(
+        self, X: np.ndarray, return_second: bool = False, parallel=INLINE_POOL
+    ):
         if self.uses_factored_assignment:
             return assign_factored(
                 X, self.protocentroids_, self.aggregator,
@@ -829,7 +835,7 @@ class MiniBatchKhatriRaoKMeans:
         batch: np.ndarray,
         rng: np.random.Generator,
         sample_weight: Optional[np.ndarray] = None,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> float:
         """One fully-re-scored mini-batch step; returns the total squared
         protocentroid shift.
@@ -866,7 +872,7 @@ class MiniBatchKhatriRaoKMeans:
         return index
 
     def _indexed_partial_fit_batch(
-        self, batch, index, sample_weight, parallel
+        self, batch, index, x_squared_norms, sample_weight, parallel
     ) -> float:
         """One point-identity stream step: bounds-pruned labels, then the
         shared step tail.  Bit-identical to :meth:`partial_fit_batch` on
@@ -876,7 +882,7 @@ class MiniBatchKhatriRaoKMeans:
             state = self._stream_state = StreamingBounds.for_stream(
                 batch.shape[1], self.cardinalities, seed_dtype=batch.dtype
             )
-        state.observe(index, row_norms_squared(batch, parallel=parallel))
+        state.observe(index, x_squared_norms)
         labels, fraction = self._pruned_batch_labels(
             batch, index, state, parallel
         )
@@ -886,7 +892,7 @@ class MiniBatchKhatriRaoKMeans:
 
     def _pruned_batch_labels(
         self, batch: np.ndarray, indices: np.ndarray, state: StreamingBounds,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> Tuple[np.ndarray, float]:
         """Batch labels with cross-step pruning, plus the re-score fraction.
 
@@ -993,7 +999,7 @@ class MiniBatchKhatriRaoKMeans:
         labels: np.ndarray,
         collect_drift: bool = False,
         sample_weight: Optional[np.ndarray] = None,
-        parallel=None,
+        parallel=INLINE_POOL,
     ) -> Tuple[float, Optional[List[np.ndarray]]]:
         """Apply the mini-batch protocentroid updates for fixed ``labels``.
 
@@ -1036,8 +1042,8 @@ class MiniBatchKhatriRaoKMeans:
                 # is partially updated (sets < q), matching the gather sweep.
                 numerator = factored_sum_numerator(
                     q, thetas,
-                    _weighted_grouped_row_sum(
-                        assignments, batch, sample_weight, h, parallel
+                    grouped_row_sum(
+                        assignments, batch, h, parallel, sample_weight
                     ),
                     tables,
                 )

@@ -3,11 +3,10 @@
 The paper uses synthetic scikit-learn generators, clustbench/ClustPy
 benchmark datasets and UCI data.  Offline, this package generates
 **synthetic stand-ins matching Table 1's shape** (sample count, feature
-count, number of labels, imbalance ratio); the substitution table lives in
-``DESIGN.md``.  Where the paper's argument depends on structure — the
-stickfigures and Double-MNIST-style datasets, whose clusters genuinely
-factor into Khatri-Rao protocentroids — the generators reproduce that
-structure by construction.
+count, number of labels, imbalance ratio).  Where the paper's argument
+depends on structure — the stickfigures and Double-MNIST-style datasets,
+whose clusters genuinely factor into Khatri-Rao protocentroids — the
+generators reproduce that structure by construction.
 
 Use :func:`load_dataset` (name-based, Table 1 presets) or the individual
 ``make_*`` generators for custom configurations.

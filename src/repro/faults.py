@@ -26,9 +26,12 @@ Vocabulary (one :class:`Fault` per injection-point call):
 
 Injection points, one per subsystem:
 
-* serving — the batcher's ``fault_hook``
-  (:class:`repro.serving.faults.FaultInjector`, which re-exports this
-  module's vocabulary for back-compat);
+* serving — the batcher's ``fault_hook``, via :class:`FaultInjector`,
+  which runs at the top of every batch execution *before* the model is
+  resolved (so an ``evict`` fault exercises the submitted-then-evicted
+  path) and inside the same try/except as the kernel call (so a
+  ``raise`` fault flows through ticket failure, circuit-breaker
+  accounting and the masked-500 HTTP mapping);
 * training loops — the estimators' per-iteration ``callback`` knob,
   via :class:`FaultHook`;
 * parallel restarts — the executor's per-attempt ``fault_hook``, via
@@ -42,6 +45,7 @@ Injection points, one per subsystem:
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +55,7 @@ __all__ = [
     "DropoutSchedule",
     "Fault",
     "FaultHook",
+    "FaultInjector",
     "FaultSchedule",
     "InjectedKernelError",
     "RestartFaultPlan",
@@ -228,6 +233,80 @@ class FaultHook:
         )
         self.fired.append((index, context, fault.kind))
         fault.apply(f"#{index}")
+
+
+class FaultInjector:
+    """Binds :class:`FaultSchedule` s to a batcher's ``fault_hook``.
+
+    The hook runs on the worker thread at the top of every batch
+    execution.  Each schedule keeps its own call counter (scoped
+    schedules only count calls for their model), and :attr:`fired`
+    records ``(index, model, op, kind)`` for every non-``ok`` action —
+    the chaos suite cross-checks observed failures against it.
+
+    Use :meth:`install` / :meth:`uninstall` (or the context manager) to
+    attach; ``arm(False)`` pauses injection without detaching.
+    """
+
+    def __init__(self, batcher, *schedules: FaultSchedule):
+        self.batcher = batcher
+        self.schedules: List[FaultSchedule] = list(schedules)
+        self.fired: List[Tuple[int, str, str, str]] = []
+        self._counters: Dict[int, int] = {i: 0 for i in range(len(schedules))}
+        self._armed = True
+        self._lock = threading.Lock()
+
+    def add(self, schedule: FaultSchedule) -> "FaultInjector":
+        with self._lock:
+            self._counters[len(self.schedules)] = 0
+            self.schedules.append(schedule)
+        return self
+
+    def arm(self, armed: bool = True) -> None:
+        self._armed = bool(armed)
+
+    # ------------------------------------------------------------- the hook
+    def __call__(self, key, batch) -> None:
+        if not self._armed:
+            return
+        model, op = key[0], key[1]
+        action: Optional[Tuple[Fault, int]] = None
+        with self._lock:
+            for i, schedule in enumerate(self.schedules):
+                if schedule.model is not None and schedule.model != model:
+                    continue
+                index = self._counters[i]
+                self._counters[i] = index + 1
+                fault = schedule.fault_for(index)
+                if fault.kind != "ok" and action is None:
+                    action = (fault, index)
+            if action is not None:
+                self.fired.append((action[1], model, op, action[0].kind))
+        if action is None:
+            return
+        fault, index = action
+        if fault.kind == "evict":
+            # The one context-bound fault: evict the batch's model from
+            # the registry mid-flight, then proceed — the batch fails
+            # with ModelNotFoundError through the real plumbing.
+            self.batcher.registry.evict(model)
+            return
+        fault.apply(f"#{index} for model {model!r}")
+
+    # ------------------------------------------------------------ attaching
+    def install(self) -> "FaultInjector":
+        self.batcher.fault_hook = self
+        return self
+
+    def uninstall(self) -> None:
+        if self.batcher.fault_hook is self:
+            self.batcher.fault_hook = None
+
+    def __enter__(self) -> "FaultInjector":
+        return self.install()
+
+    def __exit__(self, *exc_info) -> None:
+        self.uninstall()
 
 
 class RestartFaultPlan:

@@ -33,7 +33,6 @@ from .parallel import (
     ParallelConfig,
     RowBlockPool,
     fold_blocks,
-    open_row_pool,
     resolve_parallel,
     row_blocks,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "array_digest",
     "data_fingerprint",
     "fold_blocks",
-    "open_row_pool",
     "read_checkpoint",
     "resolve_checkpoint",
     "resolve_executor",

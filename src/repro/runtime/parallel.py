@@ -1,11 +1,14 @@
 """Deterministic row-block execution layer.
 
-The second and third legs of the ROADMAP's multi-core execution layer:
-the chunked sweeps from PR 2 already partition assignment and update
-work into independent *row blocks*, so a supervised thread pool over
-those blocks parallelizes every hot loop (the GIL is released inside
-BLAS and ``bincount``) — and the same seam streams a memory-mapped ``X``
-through ``fit`` one block at a time, opening larger-than-RAM datasets.
+Every hot loop of the estimators — assignment sweeps, the factored
+scorer, bounds re-scoring, grouped reductions, contingency-table counts
+— runs one per-block kernel body over fixed *row blocks* and merges the
+per-block results.  With ``n_threads=1`` (the default) the blocks run
+inline, in a plain loop on the caller's thread; with more threads a
+supervised pool runs them concurrently (the GIL is released inside BLAS
+and ``bincount``).  The same seam streams a memory-mapped ``X`` through
+``fit`` one block at a time, and bounds the peak size of every
+per-block temporary.
 
 The determinism contract
 ------------------------
@@ -24,11 +27,8 @@ reproducible.  The contract, enforced structurally:
 
 Together these make ``n_threads=1`` and ``n_threads=8`` **bit-identical
 by construction** — same partition, same per-block arithmetic, same
-merge order.  (The *blocked* path may differ from the legacy unblocked
-path in the last ulp once ``n_rows > block_rows`` — a documented
-accumulation-order change, exactly like the ``update=`` knob — which is
-why ``n_threads=None`` keeps the pre-PR-9 single-sweep kernels and all
-their goldens byte-for-byte.)
+merge order.  Inputs of at most ``block_rows`` rows are a single block,
+so their reductions are the plain single-sweep arithmetic.
 
 Supervision reuses the :mod:`~repro.runtime.executor` idioms: a named
 ``ThreadPoolExecutor``, deterministic error propagation (the lowest
@@ -39,7 +39,6 @@ retries — the kernels are deterministic, so a failing block fails again.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -49,10 +48,10 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
+    "INLINE_POOL",
     "ParallelConfig",
     "RowBlockPool",
     "fold_blocks",
-    "open_row_pool",
     "resolve_parallel",
     "row_blocks",
 ]
@@ -63,8 +62,6 @@ __all__ = [
 #: block: small enough to stream a memmap, large enough that BLAS
 #: dominates dispatch overhead.
 DEFAULT_BLOCK_ROWS = 4096
-
-_ENV_N_THREADS = "REPRO_N_THREADS"
 
 
 def row_blocks(n_rows: int, block_rows: int = DEFAULT_BLOCK_ROWS) -> Tuple[Tuple[int, int], ...]:
@@ -92,8 +89,9 @@ class ParallelConfig:
     Parameters
     ----------
     n_threads : int
-        Worker threads.  ``1`` still runs through the pool and the
-        blocked kernels, so results are bit-identical at every width.
+        Worker threads.  ``1`` runs the blocks inline on the caller's
+        thread; every width runs the same blocked kernels, so results
+        are bit-identical at every width.
     block_rows : int
         Rows per block.  Part of the result for multi-block reductions
         (it fixes the accumulation split), so it is a config value, not
@@ -118,34 +116,18 @@ class ParallelConfig:
         )
 
 
-def resolve_parallel(value) -> Optional[ParallelConfig]:
+def resolve_parallel(value) -> ParallelConfig:
     """Normalize an estimator's ``n_threads`` knob.
 
-    ``None`` consults the ``REPRO_N_THREADS`` environment variable (so
-    CI can run the whole suite threaded without touching call sites);
-    unset, empty, or ``<= 0`` stays ``None`` — the legacy single-sweep
-    kernels, bit-compatible with every pre-runtime release.  An int
-    becomes ``ParallelConfig(n_threads)``; a config passes through.
+    An int becomes ``ParallelConfig(n_threads)``; a config passes
+    through.
     """
-    if value is None:
-        env = os.environ.get(_ENV_N_THREADS, "").strip()
-        if not env:
-            return None
-        try:
-            n_threads = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{_ENV_N_THREADS} must be an integer, got {env!r}"
-            ) from None
-        if n_threads <= 0:
-            return None
-        return ParallelConfig(n_threads)
     if isinstance(value, ParallelConfig):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return ParallelConfig(int(value))
     raise ValidationError(
-        f"n_threads must be None, an int, or a ParallelConfig, got {value!r}"
+        f"n_threads must be an int or a ParallelConfig, got {value!r}"
     )
 
 
@@ -154,9 +136,10 @@ class RowBlockPool:
 
     ``map(block_fn, n_rows)`` calls ``block_fn(start, stop)`` once per
     :func:`row_blocks` boundary and returns the results **in block
-    order**, whatever order the workers finished in.  Every call — even
-    a single-block one — dispatches through the pool, so a threaded CI
-    run exercises the worker path on small fixtures too.
+    order**, whatever order the workers finished in.  With one thread,
+    or when there is only one block, the blocks run inline in a plain
+    loop on the caller's thread and no executor is ever created.  Zero
+    rows still make one empty block, so every merge has a part to fold.
 
     Error handling is deterministic: when blocks fail, the exception
     from the *lowest failing block index* propagates (completion order
@@ -196,9 +179,9 @@ class RowBlockPool:
 
     def map(self, block_fn: Callable[[int, int], object], n_rows: int) -> List[object]:
         """Run ``block_fn(start, stop)`` per block; results in block order."""
-        blocks = self.blocks(n_rows)
-        if not blocks:
-            return []
+        blocks = self.blocks(n_rows) or ((0, 0),)
+        if self.config.n_threads == 1 or len(blocks) == 1:
+            return [block_fn(start, stop) for start, stop in blocks]
         executor = self._ensure_executor()
         futures = [executor.submit(block_fn, start, stop) for start, stop in blocks]
         results: List[object] = []
@@ -234,26 +217,9 @@ class RowBlockPool:
         return f"RowBlockPool({self.config!r}, {state})"
 
 
-class _NullPool:
-    """Context manager yielding ``None``: the legacy unblocked path."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-def open_row_pool(config: Optional[ParallelConfig]):
-    """Context manager for an estimator's fit/predict-scoped pool.
-
-    ``None`` config yields ``None`` (kernels take their legacy
-    single-sweep path); otherwise yields a live :class:`RowBlockPool`
-    and shuts it down on exit.
-    """
-    if config is None:
-        return _NullPool()
-    return RowBlockPool(config)
+#: The pool kernels use when their caller passes none: one thread, so
+#: every block runs inline and no executor is ever created.
+INLINE_POOL = RowBlockPool(ParallelConfig(1))
 
 
 def fold_blocks(parts: Sequence[np.ndarray]) -> np.ndarray:

@@ -24,8 +24,8 @@ The resilience layer rides alongside (PR 7): per-request deadlines and
 typed 504s, per-``(model, op)`` circuit breakers
 (:mod:`~repro.serving.resilience`), backpressure shedding, a watchdog
 that restarts a dead batcher worker, a deterministic fault-injection
-harness (:mod:`~repro.serving.faults`) certifying that every submitted
-ticket resolves, and a stdlib retry client
+harness (:class:`~repro.faults.FaultInjector`) certifying that every
+submitted ticket resolves, and a stdlib retry client
 (:mod:`~repro.serving.client`) that speaks the whole protocol
 (``Retry-After``, ``X-Deadline-Ms``, ``X-Request-ID``).
 

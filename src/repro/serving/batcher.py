@@ -58,9 +58,9 @@ resolves, with a result or a typed error:
   worker.  Ticket resolution is first-wins, so a worker that comes back
   from a hang cannot clobber the watchdog's verdict.
 * **Fault injection.**  ``fault_hook`` (see
-  :mod:`repro.serving.faults`) runs at the top of every batch execution
-  so the chaos suite can schedule kernel faults, hangs, worker kills and
-  mid-flight evictions deterministically.
+  :class:`repro.faults.FaultInjector`) runs at the top of every batch
+  execution so the chaos suite can schedule kernel faults, hangs, worker
+  kills and mid-flight evictions deterministically.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ class MicroBatcher:
                 metrics=self.metrics,
             )
         )
-        #: Chaos hook (:mod:`repro.serving.faults`): called on the worker
-        #: thread as ``hook(key, batch)`` at the top of every execution.
+        #: Chaos hook (:class:`repro.faults.FaultInjector`): called on the
+        #: worker thread as ``hook(key, batch)`` at the top of every
+        #: execution.
         self.fault_hook: Optional[Callable] = None
         self._refine_rng = np.random.default_rng(refine_seed)
         self._cond = threading.Condition()

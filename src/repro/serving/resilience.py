@@ -24,8 +24,8 @@ primitives, each independently testable with an injectable clock:
   reports the incident to the :class:`HealthTracker` and metrics
   (``worker_restarts_total``).
 
-The deterministic fault-injection harness in
-:mod:`repro.serving.faults` drives all three; the chaos suite
+The deterministic fault-injection harness
+:class:`repro.faults.FaultInjector` drives all three; the chaos suite
 (``tests/test_serving_resilience.py``) asserts the resolve-everything
 invariant under seeded schedules of kernel faults, worker kills and
 expired deadlines.

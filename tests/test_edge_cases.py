@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import KhatriRaoKMeans, KMeans, NaiveKhatriRao
+from repro import (
+    KhatriRaoKMeans,
+    KMeans,
+    MiniBatchKhatriRaoKMeans,
+    NaiveKhatriRao,
+)
 from repro.exceptions import ValidationError
 from repro.linalg import khatri_rao_combine
 
@@ -84,6 +89,31 @@ class TestNumericalRobustness:
         updated = model._update_protocentroids(X, thetas, set_labels, rng)
         for theta in updated:
             assert np.all(np.isfinite(theta))
+
+    @pytest.mark.parametrize("dtype,scale", [
+        ("float64", 1e160), ("float32", 1e19),
+    ])
+    @pytest.mark.parametrize("estimator", [
+        "kmeans", "kr_kmeans", "minibatch_fit", "minibatch_partial_fit",
+    ])
+    def test_overflowing_squared_norms_raise(self, estimator, dtype, scale):
+        # Finite data whose ||x||^2 overflows the working dtype used to
+        # "succeed" with inertia_ == inf (or die in k-means++ sampling).
+        rng = np.random.default_rng(8)
+        X = scale * rng.normal(size=(200, 4))
+        if estimator == "kmeans":
+            run = KMeans(9, dtype=dtype, n_init=1, random_state=0).fit
+        elif estimator == "kr_kmeans":
+            run = KhatriRaoKMeans(
+                (3, 3), dtype=dtype, n_init=1, random_state=0
+            ).fit
+        else:
+            model = MiniBatchKhatriRaoKMeans(
+                (3, 3), dtype=dtype, random_state=0
+            )
+            run = model.fit if estimator == "minibatch_fit" else model.partial_fit
+        with pytest.raises(ValidationError, match=f"overflow {dtype}"):
+            run(X)
 
     def test_naive_with_tol_zero(self):
         rng = np.random.default_rng(7)

@@ -1,11 +1,13 @@
-"""Tests for the deterministic row-block execution layer (PR 9 tentpole).
+"""Tests for the deterministic row-block execution layer.
 
 The contract under test: block boundaries are a pure function of
 ``(n_rows, block_rows)`` — never of the thread count — and reductions
 merge in ascending block order, so ``n_threads=1`` and ``n_threads=8``
-produce bit-identical labels, inertia and iteration counts.  The same
-blocked seam streams a memory-mapped ``X`` through ``fit`` one block at
-a time, bit-identical to the in-RAM fit.
+produce bit-identical labels, inertia and iteration counts.  One thread
+(the default) runs the same blocks inline on the caller's thread and
+never starts a worker.  The same blocked seam streams a memory-mapped
+``X`` through ``fit`` one block at a time, bit-identical to the in-RAM
+fit.
 """
 
 import threading
@@ -16,12 +18,12 @@ import pytest
 from repro import KhatriRaoKMeans, KMeans
 from repro.core import MiniBatchKhatriRaoKMeans
 from repro.exceptions import ValidationError
+from repro.runtime import parallel as parallel_module
 from repro.runtime.parallel import (
     DEFAULT_BLOCK_ROWS,
     ParallelConfig,
     RowBlockPool,
     fold_blocks,
-    open_row_pool,
     resolve_parallel,
     row_blocks,
 )
@@ -43,6 +45,10 @@ def data():
         [[0.0, 0.0, 0.0], [0.0, 6.0, 0.0], [6.0, 0.0, 6.0], [6.0, 6.0, 6.0]]
     )
     return np.vstack([b + 0.3 * rng.normal(size=(125, 3)) for b in base])
+
+
+def _no_executor(*args, **kwargs):
+    raise AssertionError("an inline run must not create an executor")
 
 
 class TestRowBlocks:
@@ -69,32 +75,14 @@ class TestRowBlocks:
 
 
 class TestResolveParallel:
-    def test_none_without_env_stays_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_THREADS", raising=False)
-        assert resolve_parallel(None) is None
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_THREADS", "3")
-        config = resolve_parallel(None)
-        assert config.n_threads == 3
-        assert config.block_rows == DEFAULT_BLOCK_ROWS
-
-    def test_env_empty_or_nonpositive_stays_none(self, monkeypatch):
-        for value in ("", "  ", "0", "-2"):
-            monkeypatch.setenv("REPRO_N_THREADS", value)
-            assert resolve_parallel(None) is None
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_THREADS", "many")
-        with pytest.raises(ValidationError):
-            resolve_parallel(None)
-
     def test_int_and_config_pass_through(self):
         assert resolve_parallel(4).n_threads == 4
         config = _cfg(2)
         assert resolve_parallel(config) is config
 
     def test_invalid_values_raise(self):
+        with pytest.raises(ValidationError):
+            resolve_parallel(None)  # there is no unblocked path to select
         with pytest.raises(ValidationError):
             resolve_parallel(0)
         with pytest.raises(ValidationError):
@@ -155,9 +143,27 @@ class TestRowBlockPool:
         parts = [np.array([1.0]), np.array([2.0]), np.array([4.0])]
         assert fold_blocks(parts)[0] == 7.0
 
-    def test_open_row_pool_none(self):
-        with open_row_pool(None) as pool:
-            assert pool is None
+    @pytest.mark.parametrize("config", [_cfg(1), ParallelConfig(2)])
+    def test_runs_inline_without_executor(self, config, monkeypatch):
+        # One thread, or one block at any width: the blocks run in a plain
+        # loop on the caller's thread and no executor is created.
+        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", _no_executor)
+        caller = threading.current_thread().name
+        names = []
+
+        def block(start, stop):
+            names.append(threading.current_thread().name)
+            return stop - start
+
+        with RowBlockPool(config) as pool:
+            n_rows = 4 * SMALL_BLOCK if config.n_threads == 1 else 100
+            assert sum(pool.map(block, n_rows)) == n_rows
+            assert repr(pool).endswith("idle)")
+        assert names and set(names) == {caller}
+
+    def test_zero_rows_is_one_empty_block(self):
+        with RowBlockPool(_cfg(2)) as pool:
+            assert pool.map(lambda s, e: (s, e), 0) == [(0, 0)]
 
 
 def _fit_state(model):
@@ -256,18 +262,6 @@ class TestThreadCountDeterminism:
             np.testing.assert_array_equal(fits[0].labels_, fits[1].labels_)
             assert fits[0].inertia_ == fits[1].inertia_
 
-    def test_env_var_engages_blocked_layer(self, data, monkeypatch):
-        monkeypatch.setenv("REPRO_N_THREADS", "2")
-        threaded = KhatriRaoKMeans((2, 2), n_init=2, random_state=0).fit(data)
-        assert threaded.n_threads is not None
-        monkeypatch.delenv("REPRO_N_THREADS")
-        plain = KhatriRaoKMeans((2, 2), n_init=2, random_state=0).fit(data)
-        # n < DEFAULT_BLOCK_ROWS → single block → identical to the legacy
-        # sweep (this is what keeps the threaded CI leg golden-safe).
-        assert data.shape[0] < DEFAULT_BLOCK_ROWS
-        np.testing.assert_array_equal(threaded.labels_, plain.labels_)
-        assert threaded.inertia_ == plain.inertia_
-
     def test_n_jobs_composes_with_n_threads(self, data):
         # n_jobs runs restarts on spawned per-restart streams (its own
         # worker-count invariance), so the baseline is n_jobs=1 — the grid
@@ -286,6 +280,87 @@ class TestThreadCountDeterminism:
             (2, 2), n_init=2, random_state=0, n_threads=_cfg(8)
         ).fit(data)
         np.testing.assert_array_equal(model.predict(data), model.labels_)
+
+
+@pytest.fixture(scope="module")
+def big_data():
+    # More rows than DEFAULT_BLOCK_ROWS: the default estimators run real
+    # multi-block merges, not the single-block case.
+    rng = np.random.default_rng(3)
+    n = 2 * DEFAULT_BLOCK_ROWS + 300
+    base = rng.normal(scale=5.0, size=(9, 4))
+    return base[rng.integers(9, size=n)] + 0.5 * rng.normal(size=(n, 4))
+
+
+_DEFAULT_ESTIMATORS = {
+    "kmeans": lambda **kw: KMeans(
+        9, n_init=2, max_iter=30, random_state=0, **kw
+    ),
+    "kr_sum": lambda **kw: KhatriRaoKMeans(
+        (3, 3), n_init=2, max_iter=30, random_state=0, **kw
+    ),
+    "kr_product": lambda **kw: KhatriRaoKMeans(
+        (3, 3), aggregator="product", n_init=2, max_iter=30,
+        random_state=0, **kw
+    ),
+    "minibatch": lambda **kw: MiniBatchKhatriRaoKMeans(
+        (3, 3), batch_size=DEFAULT_BLOCK_ROWS + 500, max_steps=20,
+        random_state=0, **kw
+    ),
+}
+
+
+class TestDefaultBlockedPath:
+    """The default estimator, ``n_threads=1`` and ``n_threads=2`` run the
+    same row-blocked kernels on the default 4096-row blocks."""
+
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_ESTIMATORS))
+    def test_default_matches_every_width(self, big_data, name):
+        make = _DEFAULT_ESTIMATORS[name]
+        X = np.abs(big_data) + 0.5 if name == "kr_product" else big_data
+        fits = [make().fit(X), make(n_threads=1).fit(X),
+                make(n_threads=2).fit(X)]
+        assert fits[0].n_threads.n_threads == 1
+        first = fits[0]
+        for other in fits[1:]:
+            np.testing.assert_array_equal(other.labels_, first.labels_)
+            assert other.inertia_ == first.inertia_
+            if name == "minibatch":
+                assert other.n_steps_ == first.n_steps_
+            else:
+                assert other.n_iter_ == first.n_iter_
+            if name == "kmeans":
+                np.testing.assert_array_equal(
+                    other.cluster_centers_, first.cluster_centers_
+                )
+            else:
+                for got, want in zip(
+                    other.protocentroids_, first.protocentroids_
+                ):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::repro.exceptions.ConvergenceWarning")
+    def test_one_thread_starts_no_thread(self, big_data, monkeypatch):
+        monkeypatch.setattr(
+            parallel_module, "ThreadPoolExecutor", _no_executor
+        )
+        # Threads left over from other tests may exit meanwhile; none may
+        # start.
+        before = set(threading.enumerate())
+        KMeans(
+            9, n_init=1, max_iter=5, random_state=0, n_threads=1
+        ).fit(big_data)
+        KhatriRaoKMeans(
+            (3, 3), n_init=1, max_iter=5, random_state=0, n_threads=1
+        ).fit(big_data)
+        stream = MiniBatchKhatriRaoKMeans(
+            (3, 3), random_state=0, n_threads=1
+        )
+        rows = 2 * DEFAULT_BLOCK_ROWS
+        stream.partial_fit(big_data[:rows], index=np.arange(rows))
+        stream.partial_fit(big_data[rows:])
+        assert stream.n_steps_ == 2
+        assert set(threading.enumerate()) <= before
 
 
 class TestMemmapStreaming:

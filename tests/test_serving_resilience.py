@@ -28,6 +28,11 @@ from repro.exceptions import (
     OverloadedError,
     WorkerCrashedError,
 )
+from repro.faults import (
+    FaultInjector,
+    FaultSchedule,
+    InjectedKernelError,
+)
 from repro.serving import (
     BreakerBoard,
     CircuitBreaker,
@@ -37,11 +42,6 @@ from repro.serving import (
     ServingMetrics,
     Watchdog,
     create_server,
-)
-from repro.serving.faults import (
-    FaultInjector,
-    FaultSchedule,
-    InjectedKernelError,
 )
 
 # Injected WorkerKill faults die on the worker thread *by design* — that
