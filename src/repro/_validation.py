@@ -19,6 +19,7 @@ __all__ = [
     "check_array",
     "check_dtype",
     "check_finite_norms",
+    "check_n_features",
     "as_float_array",
     "check_positive_int",
     "check_in",
@@ -178,6 +179,15 @@ def check_finite_norms(x_squared_norms: np.ndarray, dtype) -> None:
             f"squared row norms overflow {name} for {bad} of "
             f"{x_squared_norms.shape[0]} rows; rescale the data so "
             f"that ||x||^2 is finite in {name}"
+        )
+
+
+def check_n_features(X: np.ndarray, expected: int, *, name: str = "X") -> None:
+    """Reject input whose feature count differs from the fitted model's."""
+    if X.shape[1] != expected:
+        raise ValidationError(
+            f"{name} has {X.shape[1]} features, model was fitted with "
+            f"{expected}"
         )
 
 

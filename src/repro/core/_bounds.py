@@ -124,6 +124,7 @@ __all__ = [
     "drift_inflation_from_tables",
     "dense_drift",
     "hamerly_step",
+    "pruned_assignment",
 ]
 
 #: valid values of the estimators' ``pruning`` knob
@@ -289,6 +290,17 @@ class HamerlyBounds:
         self.upper[idx] = self._certified_upper(d1_squared, idx)
         self.lower[idx] = self._certified_lower(d2_squared, idx)
 
+    def state_arrays(self) -> dict:
+        """The per-point bounds, the part of the state a checkpoint stores
+        (the margins are recomputed from ``‖x‖²``)."""
+        return {"upper": self.upper, "lower": self.lower}
+
+    def load_state(self, arrays: dict, initialized) -> None:
+        """Inverse of :meth:`state_arrays`, plus the ``initialized`` flag."""
+        self.upper = np.ascontiguousarray(arrays["upper"], dtype=np.float64)
+        self.lower = np.ascontiguousarray(arrays["lower"], dtype=np.float64)
+        self.initialized = bool(initialized)
+
 
 def hamerly_step(bounds, labels, exact_squared_fn, rescore_fn):
     """One bounds-pruned assignment pass shared by the batch Lloyd loops.
@@ -340,6 +352,39 @@ def hamerly_step(bounds, labels, exact_squared_fn, rescore_fn):
     labels[active] = new_labels
     bounds.refresh(active, d1, d2)
     return labels, active.size / n, None
+
+
+def pruned_assignment(bounds, labels, X, x_squared_norms, assigned_rows,
+                      assign, parallel):
+    """:func:`hamerly_step` over the rows of ``X``.
+
+    ``assigned_rows(idx)`` gives the assigned centroid of each point in
+    ``idx`` — all that tightening needs, never the full grid.
+    ``assign(rows, norms)`` is the full top-2 argmin ``(labels, d1, d2)``
+    over a row subset, so wherever the pruned pass recomputes it
+    reproduces the unpruned argmin exactly.  Both sweeps are row-blocked:
+    the tightening gather splits on fixed blocks of the active subset (each
+    row's distance is independent, so concatenation is exact) and the
+    rescore routes through the row-blocked assignment kernels.
+    """
+    def exact_squared(idx):
+        return np.concatenate(parallel.map(
+            lambda start, stop: paired_squared_distances(
+                X[idx[start:stop]], assigned_rows(idx[start:stop])
+            ),
+            idx.size,
+        ))
+
+    def rescore(idx):
+        if idx is None:
+            return assign(X, x_squared_norms)
+        return assign(X[idx], x_squared_norms[idx])
+
+    return hamerly_step(bounds, labels, exact_squared, rescore)
+
+
+#: StreamingBounds attributes whose state_arrays() key differs from the name
+_STATE_ATTRS = {"margin_base": "_margin_base"}
 
 
 class StreamingBounds:
@@ -458,6 +503,12 @@ class StreamingBounds:
         self.norms[idx] = norms64
         self._margin_base[idx] = self._eps_factor * norms64
 
+    def state_names(self) -> Tuple[str, ...]:
+        """Keys of :meth:`state_arrays` (dynamic mode adds the per-point
+        norms and margins that the static constructor derives)."""
+        names = ("known", "labels", "upper", "lower", "u_anchor", "m_anchor")
+        return names + (("norms", "margin_base") if self.dynamic else ())
+
     def state_arrays(self) -> dict:
         """Per-point state trimmed to the indices actually seen.
 
@@ -466,18 +517,27 @@ class StreamingBounds:
         carries exactly the same arrays as the uninterrupted stream.
         """
         n = self.size
-        out = {
-            "known": self.known[:n].copy(),
-            "labels": self.labels[:n].copy(),
-            "upper": self.upper[:n].copy(),
-            "lower": self.lower[:n].copy(),
-            "u_anchor": self.u_anchor[:n].copy(),
-            "m_anchor": self.m_anchor[:n].copy(),
+        return {
+            name: getattr(self, _STATE_ATTRS.get(name, name))[:n].copy()
+            for name in self.state_names()
         }
+
+    def load_state(self, arrays: dict, cum: Sequence[np.ndarray],
+                   cum_max: float) -> None:
+        """Inverse of :meth:`state_arrays`, plus the cumulative drift totals.
+
+        Loads into a freshly constructed object of the matching mode: a
+        static one already spans the dataset, a dynamic one grows to the
+        stored universe first.
+        """
+        n = arrays["known"].shape[0]
         if self.dynamic:
-            out["norms"] = self.norms[:n].copy()
-            out["margin_base"] = self._margin_base[:n].copy()
-        return out
+            self._grow_to(n)
+            self.size = n
+        for name in self.state_names():
+            getattr(self, _STATE_ATTRS.get(name, name))[:n] = arrays[name]
+        self.cum = [np.ascontiguousarray(c, dtype=np.float64) for c in cum]
+        self.cum_max = float(cum_max)
 
     def _assigned_cum(self, labels: np.ndarray) -> np.ndarray:
         """Σ_q cum_q[j_q] for the given flat labels."""

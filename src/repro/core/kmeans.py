@@ -9,8 +9,7 @@ which mirrors the implementation of Khatri-Rao-k-Means", Appendix B).
 
 from __future__ import annotations
 
-import warnings
-from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -20,25 +19,16 @@ from .._validation import (
     check_dtype,
     check_finite_norms,
     check_in,
+    check_n_features,
     check_positive_int,
     check_random_state,
 )
-from ..exceptions import ConvergenceWarning, NotFittedError, ValidationError
-from ..runtime.checkpoint import (
-    check_header_fields,
-    data_fingerprint,
-    read_checkpoint,
-    resolve_checkpoint,
-    restore_rng_state,
-    serialize_rng_state,
-    write_checkpoint,
-)
-from ..runtime.executor import resolve_executor, run_restarts
-from ..runtime.parallel import INLINE_POOL, RowBlockPool, resolve_parallel
-from ._bounds import HamerlyBounds, check_pruning, dense_drift, hamerly_step
+from ..exceptions import NotFittedError, ValidationError
+from ..runtime.parallel import RowBlockPool, resolve_parallel
+from ._bounds import check_pruning, dense_drift, pruned_assignment
+from ._driver import resolve_training, restart_sweep
 from ._distances import (
     assign_to_nearest,
-    paired_squared_distances,
     row_norms_squared,
     squared_distances,
 )
@@ -208,6 +198,10 @@ class KMeans:
     [2, 2]
     """
 
+    #: knobs a checkpoint must match to resume (with the working dtype)
+    _CHECKPOINT_PARAMS = ("n_clusters", "init", "n_init", "max_iter", "tol",
+                          "pruning")
+
     def __init__(
         self,
         n_clusters: int,
@@ -233,20 +227,10 @@ class KMeans:
         self.pruning = check_pruning(pruning)
         self.dtype = check_dtype(dtype)
         self.random_state = random_state
-        self.checkpoint = resolve_checkpoint(checkpoint)
-        self.resume_from = None if resume_from is None else Path(resume_from)
-        if callback is not None and not callable(callback):
-            raise ValidationError(f"callback must be callable, got {callback!r}")
-        self.callback = callback
-        self.n_jobs = resolve_executor(n_jobs)
+        self.checkpoint, self.resume_from, self.callback, self.n_jobs = (
+            resolve_training(checkpoint, resume_from, callback, n_jobs)
+        )
         self.n_threads = resolve_parallel(n_threads)
-        if self.n_jobs is not None and (
-            self.checkpoint is not None or self.resume_from is not None
-        ):
-            raise ValidationError(
-                "checkpoint/resume_from are sequential-sweep features and "
-                "cannot be combined with n_jobs"
-            )
 
         self.cluster_centers_: Optional[np.ndarray] = None
         self.labels_: Optional[np.ndarray] = None
@@ -277,100 +261,19 @@ class KMeans:
         x_squared_norms = row_norms_squared(X, parallel=parallel)
         check_finite_norms(x_squared_norms, X.dtype)
 
-        # ... and so is the weighted data matrix feeding the centroid sums.
-        # Unweighted fits reuse X itself: X·1 is exact, so results are
-        # unchanged, and a memory-mapped X is never materialized in RAM.
-        weighted_X = X if sample_weight is None else X * weights[:, None]
-
-        if self.n_jobs is not None:
-            # Supervised parallel sweep: per-restart spawned streams, so
-            # the selected model is identical at every worker count.  The
-            # row pool is shared across restart workers (submit is
-            # thread-safe; block workers never re-enter the pool).
-            def run_one(gen, seed_index):
-                centers, labels, run_inertia, iterations, run_interrupted = (
-                    self._single_run(
-                        X, gen, weights, weighted_X, x_squared_norms,
-                        restart_index=seed_index,
-                        parallel=parallel,
-                    )
-                )
-                if run_interrupted:
-                    # A callback-raised interrupt inside a worker: surface
-                    # it so the sweep reports interrupted (the executor
-                    # keeps every restart that already completed).
-                    raise KeyboardInterrupt
-                return run_inertia, (centers, labels, iterations)
-
-            report = run_restarts(run_one, self.n_init, rng, self.n_jobs)
-            if report.interrupted and not report.outcomes:
-                raise KeyboardInterrupt
-            best = report.best()
-            self.cluster_centers_, self.labels_, self.n_iter_ = best.payload
-            self.inertia_ = best.inertia
-            self.converged_ = not report.interrupted
-            return self
-
-        best_inertia = np.inf
-        best_centers = None
-        best_labels = None
-        best_iterations = 0
-        start_restart = 0
-        resume_state = None
-        # The full-pass sha256 fingerprint only feeds checkpoint headers;
-        # plain fits (and streamed memmap fits) skip it entirely.
-        fingerprint = (
-            data_fingerprint(X, weights)
-            if self.checkpoint is not None or self.resume_from is not None
-            else None
+        ctx = SimpleNamespace(
+            X=X, weights=weights, x_squared_norms=x_squared_norms,
+            parallel=parallel, prunes=self.uses_pruning,
+            # ... and so is the weighted data matrix feeding the centroid
+            # sums.  Unweighted fits reuse X itself: X·1 is exact, so
+            # results are unchanged, and a memory-mapped X is never
+            # materialized in RAM.
+            weighted_X=X if sample_weight is None else X * weights[:, None],
         )
-        if self.resume_from is not None:
-            (start_restart, resume_state, best_resumed) = self._load_checkpoint(
-                rng, fingerprint, x_squared_norms, X.shape[1]
-            )
-            if best_resumed is not None:
-                best_centers, best_labels, best_inertia, best_iterations = (
-                    best_resumed
-                )
-        interrupted = False
-        for restart in range(start_restart, self.n_init):
-            best_state = (
-                None if best_centers is None
-                else (best_centers, best_labels, best_inertia, best_iterations)
-            )
-            try:
-                centers, labels, run_inertia, iterations, run_interrupted = (
-                    self._single_run(
-                        X, rng, weights, weighted_X, x_squared_norms,
-                        restart_index=restart,
-                        resume=resume_state,
-                        fingerprint=fingerprint,
-                        best_state=best_state,
-                        parallel=parallel,
-                    )
-                )
-            except KeyboardInterrupt:
-                # Interrupted before this restart completed one iteration:
-                # keep the best earlier restart if there is one.
-                if best_centers is None:
-                    raise
-                interrupted = True
-                break
-            resume_state = None
-            if run_inertia < best_inertia:
-                best_inertia = run_inertia
-                best_centers = centers
-                best_labels = labels
-                best_iterations = iterations
-            if run_interrupted:
-                interrupted = True
-                break
-
-        self.cluster_centers_ = best_centers
-        self.labels_ = best_labels
-        self.inertia_ = float(best_inertia)
-        self.n_iter_ = best_iterations
-        self.converged_ = not interrupted
+        best, self.inertia_, self.n_iter_, self.converged_ = restart_sweep(
+            self, ctx, rng
+        )
+        self.cluster_centers_, self.labels_ = best["centers"], best["labels"]
         return self
 
     def fit_predict(self, X) -> np.ndarray:
@@ -381,11 +284,7 @@ class KMeans:
         """Assign each row of ``X`` to its nearest learned centroid."""
         self._check_fitted()
         X = check_array(X, dtype=self.cluster_centers_.dtype)
-        if X.shape[1] != self.cluster_centers_.shape[1]:
-            raise ValidationError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.cluster_centers_.shape[1]}"
-            )
+        check_n_features(X, self.cluster_centers_.shape[1])
         with RowBlockPool(self.n_threads) as pool:
             labels, _ = assign_to_nearest(
                 X, self.cluster_centers_, parallel=pool
@@ -396,12 +295,14 @@ class KMeans:
         """Squared distances of each row of ``X`` to every centroid."""
         self._check_fitted()
         X = check_array(X, dtype=self.cluster_centers_.dtype)
+        check_n_features(X, self.cluster_centers_.shape[1])
         return squared_distances(X, self.cluster_centers_)
 
     def score(self, X) -> float:
         """Negative inertia of ``X`` under the learned centroids."""
         self._check_fitted()
         X = check_array(X, dtype=self.cluster_centers_.dtype)
+        check_n_features(X, self.cluster_centers_.shape[1])
         with RowBlockPool(self.n_threads) as pool:
             _, distances = assign_to_nearest(
                 X, self.cluster_centers_, parallel=pool
@@ -429,244 +330,80 @@ class KMeans:
         """Whether Lloyd iterations run with Hamerly bounds pruning."""
         return self.pruning != "none"
 
-    def _assign_step(
-        self,
-        X: np.ndarray,
-        centers: np.ndarray,
-        labels: np.ndarray,
-        bounds: Optional[HamerlyBounds],
-        x_squared_norms: np.ndarray,
-        parallel=INLINE_POOL,
-    ):
-        """One assignment pass; returns ``(labels, min_distances_or_None)``.
-
-        ``min_distances`` is ``None`` on pruned iterations — the caller
-        recomputes it on demand (only the empty-cluster reseed needs it).
-        """
-        if bounds is None:
-            return assign_to_nearest(
-                X, centers, x_squared_norms=x_squared_norms, parallel=parallel
-            )
-
-        def exact_squared(idx):
-            # Active-set tightening, row-blocked over the *subset*: each
-            # row's distance is independent, so the blocked sweep is
-            # bit-identical and gathers only one block of rows at a time.
-            return np.concatenate(parallel.map(
-                lambda start, stop: paired_squared_distances(
-                    X[idx[start:stop]], centers[labels[idx[start:stop]]]
-                ),
-                idx.size,
-            ))
-
-        def rescore(idx):
-            if idx is None:
-                return assign_to_nearest(
-                    X, centers, x_squared_norms=x_squared_norms,
-                    return_second=True, parallel=parallel,
-                )
-            return assign_to_nearest(
-                X[idx], centers, x_squared_norms=x_squared_norms[idx],
-                return_second=True, parallel=parallel,
-            )
-
-        labels, _, full_d1 = hamerly_step(bounds, labels, exact_squared, rescore)
-        return labels, full_d1
-
-    # --------------------------------------------------------- checkpointing
-    def _param_header(self) -> dict:
-        """Configuration fingerprint a checkpoint must match to resume."""
-        # n_threads is deliberately absent: pool width never changes
-        # results (the row-block contract), so checkpoints stay portable
-        # across machine sizes — and older checkpoints keep resuming.
-        return {
-            "n_clusters": self.n_clusters,
-            "init": self.init,
-            "n_init": self.n_init,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "pruning": self.pruning,
-            "dtype": np.dtype(self.dtype_).name,
-        }
-
-    def _write_checkpoint(
-        self, restart, iteration, centers, labels, bounds, rng,
-        fingerprint, best_state,
-    ) -> None:
-        if self.checkpoint is None or not self.checkpoint.due(iteration):
-            return
-        header = {
-            "estimator": type(self).__name__,
-            "params": self._param_header(),
-            "data": fingerprint,
-            "restart": restart,
-            "iteration": iteration,
-            "rng_state": serialize_rng_state(rng),
-            "bounds_initialized": (
-                None if bounds is None else bool(bounds.initialized)
-            ),
-            "has_best": best_state is not None,
-            "best_inertia": (
-                None if best_state is None else float(best_state[2])
-            ),
-            "best_iterations": (
-                0 if best_state is None else int(best_state[3])
-            ),
-        }
-        arrays = {"centers": centers, "labels": labels}
-        if bounds is not None:
-            arrays["bounds_upper"] = bounds.upper
-            arrays["bounds_lower"] = bounds.lower
-        if best_state is not None:
-            arrays["best_centers"] = best_state[0]
-            arrays["best_labels"] = best_state[1]
-        write_checkpoint(self.checkpoint.path, header, arrays)
-
-    def _load_checkpoint(self, rng, fingerprint, x_squared_norms, n_features):
-        """Verify and unpack ``resume_from``; restores ``rng`` in place.
-
-        Returns ``(restart_index, resume_state, best_state_or_None)``
-        where ``resume_state`` re-enters :meth:`_single_run` at the
-        checkpointed iteration's successor.
-        """
-        from ..exceptions import CheckpointError
-
-        header, arrays = read_checkpoint(self.resume_from)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "params": self._param_header(),
-                "data": fingerprint,
-            },
-            path=self.resume_from,
-        )
-        restore_rng_state(rng, header["rng_state"])
-        centers = np.ascontiguousarray(arrays["centers"], dtype=self.dtype_)
-        labels = np.ascontiguousarray(arrays["labels"], dtype=np.int64)
-        bounds = None
-        if self.uses_pruning:
-            if "bounds_upper" not in arrays:
-                raise CheckpointError(
-                    f"{self.resume_from} carries no pruning bounds but the "
-                    "resuming estimator prunes", field="bounds_upper",
-                )
-            # The dtype-margin scalars are deterministic functions of the
-            # constructor inputs, so only the per-point arrays and the
-            # initialized flag need the round trip.
-            bounds = HamerlyBounds(x_squared_norms, n_features)
-            bounds.upper = np.ascontiguousarray(
-                arrays["bounds_upper"], dtype=np.float64
-            )
-            bounds.lower = np.ascontiguousarray(
-                arrays["bounds_lower"], dtype=np.float64
-            )
-            bounds.initialized = bool(header["bounds_initialized"])
-        resume_state = (centers, labels, bounds, int(header["iteration"]) + 1)
-        best_state = None
-        if header.get("has_best"):
-            best_state = (
-                np.ascontiguousarray(arrays["best_centers"], dtype=self.dtype_),
-                np.ascontiguousarray(arrays["best_labels"], dtype=np.int64),
-                float(header["best_inertia"]),
-                int(header["best_iterations"]),
-            )
-        return int(header["restart"]), resume_state, best_state
-
-    def _single_run(
-        self,
-        X: np.ndarray,
-        rng: np.random.Generator,
-        weights: np.ndarray,
-        weighted_X: np.ndarray,
-        x_squared_norms: np.ndarray,
-        restart_index: int = 0,
-        resume=None,
-        fingerprint=None,
-        best_state=None,
-        parallel=INLINE_POOL,
-    ):
-        if resume is None:
-            centers = self._init_centers(X, rng)
-            bounds = (
-                HamerlyBounds(x_squared_norms, X.shape[1])
-                if self.uses_pruning else None
-            )
-            labels = np.zeros(X.shape[0], dtype=np.int64)
-            start = 1
+    # ------------------------------------------------- the Lloyd driver hooks
+    def _begin_run(self, ctx, bounds, rng=None, arrays=None):
+        """A fresh restart seeded from ``rng``, or one rebuilt from its
+        checkpointed ``arrays``."""
+        if arrays is None:
+            centers = self._init_centers(ctx.X, rng)
+            labels = np.zeros(ctx.X.shape[0], dtype=np.int64)
         else:
-            centers, labels, bounds, start = resume
-        interrupted = False
-        # `completed` and `centers` advance together at the end of each
-        # iteration, so the KeyboardInterrupt handler always sees a
-        # consistent last-completed state even mid-iteration.
-        completed = start - 1
-        try:
-            for iterations in range(start, self.max_iter + 1):
-                labels, min_distances = self._assign_step(
-                    X, centers, labels, bounds, x_squared_norms, parallel
-                )
-                new_centers = centers.copy()
-                counts = _group_mass(
-                    labels, weights, self.n_clusters, parallel
-                )
-                # Per-column bincount reduction (grouped_row_sum) over the
-                # fit-hoisted weighted matrix: same row-order accumulation as
-                # the np.add.at scatter it replaces, an order of magnitude
-                # faster — and with pruning this update is the iteration floor.
-                sums = grouped_row_sum(
-                    labels, weighted_X, self.n_clusters, parallel
-                )
-                non_empty = counts > 0
-                new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
-                # Empty clusters: re-seed on the points farthest from their
-                # centroid, the standard remedy (also KR-k-Means, Appendix B).
-                empty = np.flatnonzero(~non_empty)
-                if empty.size:
-                    if min_distances is None:
-                        # Pruned iterations skip exact per-point distances;
-                        # the reseed rule ranks all of them, so fall back to
-                        # the full computation the unpruned path runs — same
-                        # call, same inputs, bit-identical reseed choice.
-                        _, min_distances = assign_to_nearest(
-                            X, centers, x_squared_norms=x_squared_norms,
-                            parallel=parallel,
-                        )
-                    farthest = (
-                        np.argsort(min_distances * weights)[::-1][: empty.size]
-                    )
-                    new_centers[empty] = X[farthest]
-                # float64 reduction for any working dtype (exact no-op at
-                # f64): the convergence test must not drown in f32
-                # accumulation noise.
-                shift = float(
-                    np.sum((new_centers - centers) ** 2, dtype=np.float64)
-                )
-                if bounds is not None and shift >= self.tol:
-                    drift = dense_drift(centers, new_centers)
-                    bounds.inflate(drift[labels], float(drift.max()))
-                centers = new_centers
-                completed = iterations
-                if self.callback is not None:
-                    self.callback(restart_index, iterations)
-                if shift < self.tol:
-                    break
-                # Snapshot only on continuing iterations: a resumed run
-                # always has at least the terminal iteration left to do.
-                self._write_checkpoint(
-                    restart_index, iterations, centers, labels, bounds,
-                    rng, fingerprint, best_state,
-                )
-            else:  # pragma: no cover - depends on data
-                warnings.warn(
-                    f"KMeans did not converge in {self.max_iter} iterations",
-                    ConvergenceWarning,
-                    stacklevel=2,
-                )
-        except KeyboardInterrupt:
-            interrupted = True
-        labels, min_distances = assign_to_nearest(
-            X, centers, x_squared_norms=x_squared_norms, parallel=parallel
+            centers = np.ascontiguousarray(arrays["centers"], dtype=self.dtype_)
+            labels = np.ascontiguousarray(arrays["labels"], dtype=np.int64)
+        return SimpleNamespace(centers=centers, labels=labels, bounds=bounds)
+
+    @staticmethod
+    def _run_arrays(run) -> dict:
+        return {"centers": run.centers, "labels": run.labels}
+
+    def _final_assign(self, ctx, run):
+        return assign_to_nearest(
+            ctx.X, run.centers, x_squared_norms=ctx.x_squared_norms,
+            parallel=ctx.parallel,
         )
-        inertia = float((min_distances * weights).sum(dtype=np.float64))
-        return centers, labels, inertia, completed, interrupted
+
+    def _lloyd_step(self, ctx, run, rng) -> float:
+        """One Lloyd iteration on ``run``; returns the centroid shift."""
+        X, weights, parallel = ctx.X, ctx.weights, ctx.parallel
+        centers, bounds = run.centers, run.bounds
+        if bounds is None:
+            labels, min_distances = assign_to_nearest(
+                X, centers, x_squared_norms=ctx.x_squared_norms,
+                parallel=parallel,
+            )
+        else:
+            # min_distances is None on partially re-scored passes; only
+            # the empty-cluster reseed below needs it.
+            labels, _, min_distances = pruned_assignment(
+                bounds, run.labels, X, ctx.x_squared_norms,
+                lambda idx: centers[run.labels[idx]],
+                lambda rows, norms: assign_to_nearest(
+                    rows, centers, x_squared_norms=norms,
+                    return_second=True, parallel=parallel,
+                ),
+                parallel,
+            )
+        new_centers = centers.copy()
+        counts = _group_mass(labels, weights, self.n_clusters, parallel)
+        # Per-column bincount reduction (grouped_row_sum) over the
+        # fit-hoisted weighted matrix: same row-order accumulation as the
+        # np.add.at scatter it replaces, an order of magnitude faster — and
+        # with pruning this update is the iteration floor.
+        sums = grouped_row_sum(labels, ctx.weighted_X, self.n_clusters, parallel)
+        non_empty = counts > 0
+        new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
+        # Empty clusters: re-seed on the points farthest from their
+        # centroid, the standard remedy (also KR-k-Means, Appendix B).
+        empty = np.flatnonzero(~non_empty)
+        if empty.size:
+            if min_distances is None:
+                # Pruned iterations skip exact per-point distances; the
+                # reseed rule ranks all of them, so fall back to the full
+                # computation the unpruned path runs — same call, same
+                # inputs, bit-identical reseed choice.
+                _, min_distances = assign_to_nearest(
+                    X, centers, x_squared_norms=ctx.x_squared_norms,
+                    parallel=parallel,
+                )
+            farthest = np.argsort(min_distances * weights)[::-1][: empty.size]
+            new_centers[empty] = X[farthest]
+        # float64 reduction for any working dtype (exact no-op at f64):
+        # the convergence test must not drown in f32 accumulation noise.
+        shift = float(np.sum((new_centers - centers) ** 2, dtype=np.float64))
+        if bounds is not None and shift >= self.tol:
+            drift = dense_drift(centers, new_centers)
+            bounds.inflate(drift[labels], float(drift.max()))
+        # Centers and labels advance together, so an interrupt always
+        # leaves the last completed iteration's state.
+        run.centers, run.labels = new_centers, labels
+        return shift

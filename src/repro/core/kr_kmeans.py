@@ -85,8 +85,7 @@ workloads.
 
 from __future__ import annotations
 
-import warnings
-from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,25 +96,11 @@ from .._validation import (
     check_dtype,
     check_finite_norms,
     check_in,
+    check_n_features,
     check_positive_int,
     check_random_state,
 )
-from ..exceptions import (
-    CheckpointError,
-    ConvergenceWarning,
-    NotFittedError,
-    ValidationError,
-)
-from ..runtime.checkpoint import (
-    check_header_fields,
-    data_fingerprint,
-    read_checkpoint,
-    resolve_checkpoint,
-    restore_rng_state,
-    serialize_rng_state,
-    write_checkpoint,
-)
-from ..runtime.executor import resolve_executor, run_restarts
+from ..exceptions import NotFittedError
 from ..runtime.parallel import INLINE_POOL, RowBlockPool, resolve_parallel
 from ..linalg import (
     get_aggregator,
@@ -124,17 +109,16 @@ from ..linalg import (
     resolve_working_dtype,
 )
 from ._bounds import (
-    HamerlyBounds,
     check_pruning,
     dense_drift,
     drift_inflation_from_tables,
-    hamerly_step,
+    pruned_assignment,
 )
+from ._driver import require_sets, resolve_training, restart_sweep
 from ._distances import (
     _chunked_argmin,
     assign_to_nearest,
     merge_row_block_assignments,
-    paired_squared_distances,
     row_norms_squared,
     squared_distances,
 )
@@ -147,6 +131,42 @@ from ._update import UPDATE_MODES, resolve_update, update_protocentroids
 from .kmeans import _check_sample_weight, kmeans_plus_plus_init
 
 __all__ = ["KhatriRaoKMeans"]
+
+
+def split_seeds(seeds: np.ndarray, cardinalities, aggregator) -> List[np.ndarray]:
+    """Factor seed points into protocentroid sets.
+
+    ``seeds`` holds ``Σ h_q`` rows, set by set; protocentroid ``j`` of set
+    ``q`` is the ``q``-th part of the aggregator's exact split of that set's
+    ``j``-th seed, so combining one protocentroid per set stays inside the
+    data range (Section 6, "Initialization").
+    """
+    p = len(cardinalities)
+    thetas = []
+    offset = 0
+    for q, h in enumerate(cardinalities):
+        block = np.empty((h, seeds.shape[1]), dtype=seeds.dtype)
+        for j in range(h):
+            block[j] = aggregator.split(seeds[offset + j], p)[q]
+        thetas.append(block)
+        offset += h
+    return thetas
+
+
+def sample_protocentroids(
+    X: np.ndarray, cardinalities, aggregator, rng: np.random.Generator
+) -> List[np.ndarray]:
+    """Random initialization (Algorithm 1, lines 3-4): ``h_q`` data points
+    per set, factored through :func:`split_seeds`.
+
+    Raw points would start centroids at e.g. ``x_i + x_j`` for the sum
+    aggregator, far outside the data hull (Appendix B).
+    """
+    n = X.shape[0]
+    seeds = np.concatenate([
+        X[rng.choice(n, size=h, replace=n < h)] for h in cardinalities
+    ])
+    return split_seeds(seeds, cardinalities, aggregator)
 
 
 class KhatriRaoKMeans:
@@ -311,6 +331,11 @@ class KhatriRaoKMeans:
     (4, 2)
     """
 
+    #: knobs a checkpoint must match to resume (with the working dtype)
+    _CHECKPOINT_PARAMS = ("cardinalities", "aggregator", "init", "n_init",
+                          "max_iter", "tol", "mode", "assignment", "update",
+                          "pruning", "chunk_size")
+
     def __init__(
         self,
         cardinalities: Sequence[int],
@@ -346,20 +371,10 @@ class KhatriRaoKMeans:
         self.chunk_size = check_positive_int(chunk_size, "chunk_size")
         self.dtype = check_dtype(dtype)
         self.random_state = random_state
-        self.checkpoint = resolve_checkpoint(checkpoint)
-        self.resume_from = None if resume_from is None else Path(resume_from)
-        if callback is not None and not callable(callback):
-            raise ValidationError(f"callback must be callable, got {callback!r}")
-        self.callback = callback
-        self.n_jobs = resolve_executor(n_jobs)
+        self.checkpoint, self.resume_from, self.callback, self.n_jobs = (
+            resolve_training(checkpoint, resume_from, callback, n_jobs)
+        )
         self.n_threads = resolve_parallel(n_threads)
-        if self.n_jobs is not None and (
-            self.checkpoint is not None or self.resume_from is not None
-        ):
-            raise ValidationError(
-                "checkpoint/resume_from are sequential-sweep features and "
-                "cannot be combined with n_jobs"
-            )
 
         self.protocentroids_: Optional[List[np.ndarray]] = None
         self.labels_: Optional[np.ndarray] = None
@@ -445,85 +460,23 @@ class KhatriRaoKMeans:
         x_squared_norms = row_norms_squared(X, parallel=parallel)
         check_finite_norms(x_squared_norms, X.dtype)
 
-        if self.n_jobs is not None:
-            # Supervised parallel sweep: per-restart spawned streams, so
-            # the selected model is identical at every worker count.  The
-            # row pool is shared across restart workers (submit is
-            # thread-safe; block workers never re-enter the pool).
-            def run_one(gen, seed_index):
-                (thetas, labels, set_labels, run_inertia, iters, fractions,
-                 run_interrupted) = self._single_run(
-                    X, gen, materialize, weights, x_squared_norms,
-                    restart_index=seed_index,
-                    parallel=parallel,
-                )
-                if run_interrupted:
-                    # A callback-raised interrupt inside a worker: surface
-                    # it so the sweep reports interrupted (the executor
-                    # keeps every restart that already completed).
-                    raise KeyboardInterrupt
-                return run_inertia, (thetas, labels, set_labels, iters, fractions)
-
-            report = run_restarts(run_one, self.n_init, rng, self.n_jobs)
-            if report.interrupted and not report.outcomes:
-                raise KeyboardInterrupt
-            winner = report.best()
-            (self.protocentroids_, self.labels_, self.set_labels_,
-             self.n_iter_, self.reassignment_fractions_) = winner.payload
-            self.inertia_ = winner.inertia
-            self.converged_ = not report.interrupted
-            return self
-
-        best = (np.inf, None, None, None, 0, None)
-        start_restart = 0
-        resume_state = None
-        # The full-pass sha256 fingerprint only feeds checkpoint headers;
-        # plain fits (and streamed memmap fits) skip it entirely.
-        fingerprint = (
-            data_fingerprint(X, weights)
-            if self.checkpoint is not None or self.resume_from is not None
+        ctx = SimpleNamespace(
+            X=X, weights=weights, x_squared_norms=x_squared_norms,
+            parallel=parallel, materialize=materialize,
+            prunes=self._uses_pruning(materialize),
+        )
+        best, self.inertia_, self.n_iter_, self.converged_ = restart_sweep(
+            self, ctx, rng
+        )
+        self.protocentroids_ = [
+            best[f"theta_{q}"] for q in range(len(self.cardinalities))
+        ]
+        self.labels_ = best["labels"]
+        self.set_labels_ = self.set_assignments(self.labels_)
+        self.reassignment_fractions_ = (
+            [float(f) for f in best["fractions"]] if "fractions" in best
             else None
         )
-        if self.resume_from is not None:
-            start_restart, resume_state, best_resumed = self._load_checkpoint(
-                rng, fingerprint, materialize, x_squared_norms, X.shape[1]
-            )
-            if best_resumed is not None:
-                best = best_resumed
-        interrupted = False
-        for restart in range(start_restart, self.n_init):
-            best_state = None if best[1] is None else best
-            try:
-                (thetas, labels, set_labels, run_inertia, iters, fractions,
-                 run_interrupted) = self._single_run(
-                    X, rng, materialize, weights, x_squared_norms,
-                    restart_index=restart,
-                    resume=resume_state,
-                    fingerprint=fingerprint,
-                    best_state=best_state,
-                    parallel=parallel,
-                )
-            except KeyboardInterrupt:
-                # Interrupted before this restart completed one iteration:
-                # keep the best earlier restart if there is one.
-                if best[1] is None:
-                    raise
-                interrupted = True
-                break
-            resume_state = None
-            if run_inertia < best[0]:
-                best = (run_inertia, thetas, labels, set_labels, iters, fractions)
-            if run_interrupted:
-                interrupted = True
-                break
-
-        self.inertia_ = float(best[0])
-        self.protocentroids_ = best[1]
-        self.labels_ = best[2]
-        self.set_labels_ = best[3]
-        self.n_iter_ = best[4]
-        self.reassignment_fractions_ = best[5]
-        self.converged_ = not interrupted
         return self
 
     def fit_predict(self, X) -> np.ndarray:
@@ -534,11 +487,7 @@ class KhatriRaoKMeans:
         """Assign each row of ``X`` to its nearest reconstructed centroid."""
         self._check_fitted()
         X = check_array(X, dtype=self.protocentroids_[0].dtype)
-        if X.shape[1] != self.protocentroids_[0].shape[1]:
-            raise ValidationError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.protocentroids_[0].shape[1]}"
-            )
+        check_n_features(X, self.protocentroids_[0].shape[1])
         with RowBlockPool(self.n_threads) as pool:
             labels, _ = self._assign(
                 X, self.protocentroids_, self._should_materialize(X),
@@ -585,43 +534,18 @@ class KhatriRaoKMeans:
         self, X: np.ndarray, rng: np.random.Generator
     ) -> List[np.ndarray]:
         if self.init == "random":
-            # Sample data points per set, then factor each through the
-            # aggregator's exact split so the *initial centroids* (the
-            # aggregation of one protocentroid per set) stay inside the data
-            # range: raw points would start centroids at e.g. x_i + x_j for
-            # the sum aggregator, far outside the hull (Appendix B).
-            p = len(self.cardinalities)
-            thetas = []
-            for q, h in enumerate(self.cardinalities):
-                samples = X[rng.choice(X.shape[0], size=h, replace=X.shape[0] < h)]
-                block = np.empty((h, X.shape[1]), dtype=X.dtype)
-                for j in range(h):
-                    block[j] = self.aggregator.split(samples[j], p)[q]
-                thetas.append(block)
-            return thetas
-        return self._init_plus_plus(X, rng)
-
-    def _init_plus_plus(self, X: np.ndarray, rng: np.random.Generator) -> List[np.ndarray]:
+            return sample_protocentroids(
+                X, self.cardinalities, self.aggregator, rng
+            )
         # Sample sum(h_q) far-apart data points with k-means++ D²-sampling,
-        # then factor each sampled point x into p parts whose aggregation
-        # reproduces x; set q keeps the q-th part of its own samples
-        # (Section 6, "Initialization").
-        p = len(self.cardinalities)
+        # then factor each into per-set protocentroids (Section 6,
+        # "Initialization").
         total = sum(self.cardinalities)
         seeds = kmeans_plus_plus_init(X, min(total, X.shape[0]), rng)
         if seeds.shape[0] < total:
             extra = X[rng.choice(X.shape[0], size=total - seeds.shape[0])]
             seeds = np.vstack([seeds, extra])
-        thetas = []
-        offset = 0
-        for q, h in enumerate(self.cardinalities):
-            block = np.empty((h, X.shape[1]), dtype=X.dtype)
-            for j in range(h):
-                parts = self.aggregator.split(seeds[offset + j], p)
-                block[j] = parts[q]
-            thetas.append(block)
-            offset += h
-        return thetas
+        return split_seeds(seeds, self.cardinalities, self.aggregator)
 
     # -- assignment ---------------------------------------------------------
     def _assign(
@@ -702,55 +626,6 @@ class KhatriRaoKMeans:
         parts = [theta[set_labels[:, q]] for q, theta in enumerate(thetas)]
         return self.aggregator.combine(parts)
 
-    def _assign_iteration(
-        self,
-        X: np.ndarray,
-        thetas: List[np.ndarray],
-        materialize: bool,
-        x_squared_norms: np.ndarray,
-        labels: np.ndarray,
-        set_labels: Optional[np.ndarray],
-        bounds: HamerlyBounds,
-        parallel=INLINE_POOL,
-    ) -> Tuple[np.ndarray, float]:
-        """One Lloyd assignment pass under Hamerly bounds.
-
-        Points whose bounds certify a strictly-nearest assigned centroid
-        keep their label untouched; the remainder are first tightened
-        (exact distance to the assigned centroid only) and the survivors
-        re-scored against all ``∏ h_q`` centroids through the regular
-        factored/materialized kernels — so the pruned path reproduces the
-        unpruned argmin exactly wherever it actually recomputes.  Returns
-        the labels and the fraction of points fully re-scored.
-
-        Both sweeps are row-blocked: the tightening gather over the active
-        set splits on fixed blocks of ``idx`` (each active point's distance
-        is independent, so concatenation is exact), and the rescore routes
-        through the row-blocked assignment kernels.
-        """
-        def exact_squared(idx):
-            return np.concatenate(parallel.map(
-                lambda start, stop: paired_squared_distances(
-                    X[idx[start:stop]],
-                    self._combine_rows(thetas, set_labels[idx[start:stop]]),
-                ),
-                idx.size,
-            ))
-
-        def rescore(idx):
-            if idx is None:
-                return self._assign(
-                    X, thetas, materialize, x_squared_norms,
-                    return_second=True, parallel=parallel,
-                )
-            return self._assign(
-                X[idx], thetas, materialize, x_squared_norms[idx],
-                return_second=True, parallel=parallel,
-            )
-
-        labels, fraction, _ = hamerly_step(bounds, labels, exact_squared, rescore)
-        return labels, fraction
-
     def _materialize_chunk(
         self, thetas: List[np.ndarray], start: int, stop: int
     ) -> np.ndarray:
@@ -784,174 +659,26 @@ class KhatriRaoKMeans:
             parallel=parallel,
         )
 
-    # --------------------------------------------------------- checkpointing
-    def _param_header(self) -> dict:
-        """Configuration fingerprint a checkpoint must match to resume."""
-        # n_threads is deliberately absent: pool width never changes the
-        # results (fixed block boundaries, block-order reductions), so
-        # checkpoints written at any thread count keep resuming.
-        return {
-            "cardinalities": [int(h) for h in self.cardinalities],
-            "aggregator": self.aggregator.name,
-            "init": self.init,
-            "n_init": self.n_init,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "mode": self.mode,
-            "assignment": self.assignment,
-            "update": self.update,
-            "pruning": self.pruning,
-            "chunk_size": self.chunk_size,
-            "dtype": np.dtype(self.dtype_).name,
-        }
-
-    def _write_checkpoint(
-        self, restart, iteration, thetas, labels, bounds, fractions,
-        rng, fingerprint, best_state,
-    ) -> None:
-        if self.checkpoint is None or not self.checkpoint.due(iteration):
-            return
-        header = {
-            "estimator": type(self).__name__,
-            "params": self._param_header(),
-            "data": fingerprint,
-            "restart": restart,
-            "iteration": iteration,
-            "rng_state": serialize_rng_state(rng),
-            "bounds_initialized": (
-                None if bounds is None else bool(bounds.initialized)
-            ),
-            "has_best": best_state is not None,
-            "best_inertia": (
-                None if best_state is None else float(best_state[0])
-            ),
-            "best_iterations": (
-                0 if best_state is None else int(best_state[4])
-            ),
-        }
-        arrays = {"labels": labels}
-        for q, theta in enumerate(thetas):
-            arrays[f"theta_{q}"] = theta
-        if bounds is not None:
-            arrays["bounds_upper"] = bounds.upper
-            arrays["bounds_lower"] = bounds.lower
-            arrays["fractions"] = np.asarray(fractions, dtype=np.float64)
-        if best_state is not None:
-            for q, theta in enumerate(best_state[1]):
-                arrays[f"best_theta_{q}"] = theta
-            arrays["best_labels"] = best_state[2]
-            if best_state[5] is not None:
-                arrays["best_fractions"] = np.asarray(
-                    best_state[5], dtype=np.float64
-                )
-        write_checkpoint(self.checkpoint.path, header, arrays)
-
-    def _load_checkpoint(
-        self, rng, fingerprint, materialize, x_squared_norms, n_features
-    ):
-        """Verify and unpack ``resume_from``; restores ``rng`` in place.
-
-        Returns ``(restart_index, resume_state, best_tuple_or_None)``
-        where ``resume_state`` re-enters :meth:`_single_run` at the
-        checkpointed iteration's successor.
-        """
-        header, arrays = read_checkpoint(self.resume_from)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "params": self._param_header(),
-                "data": fingerprint,
-            },
-            path=self.resume_from,
-        )
-        restore_rng_state(rng, header["rng_state"])
-
-        def _thetas(prefix):
-            out = []
-            for q in range(len(self.cardinalities)):
-                key = f"{prefix}{q}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{self.resume_from} is missing protocentroid set "
-                        f"{key!r}", field=key,
-                    )
-                out.append(np.ascontiguousarray(arrays[key], dtype=self.dtype_))
-            return out
-
-        thetas = _thetas("theta_")
-        labels = np.ascontiguousarray(arrays["labels"], dtype=np.int64)
-        set_labels = self.set_assignments(labels)
-        bounds = None
-        fractions: Optional[List[float]] = None
-        if self._uses_pruning(materialize):
-            if "bounds_upper" not in arrays:
-                raise CheckpointError(
-                    f"{self.resume_from} carries no pruning bounds but the "
-                    "resuming estimator prunes", field="bounds_upper",
-                )
-            # The dtype-margin scalars are deterministic functions of the
-            # constructor inputs, so only the per-point arrays and the
-            # initialized flag need the round trip.
-            bounds = HamerlyBounds(x_squared_norms, n_features)
-            bounds.upper = np.ascontiguousarray(
-                arrays["bounds_upper"], dtype=np.float64
-            )
-            bounds.lower = np.ascontiguousarray(
-                arrays["bounds_lower"], dtype=np.float64
-            )
-            bounds.initialized = bool(header["bounds_initialized"])
-            fractions = [float(f) for f in arrays["fractions"]]
-        resume_state = (
-            thetas, labels, set_labels, bounds, fractions,
-            int(header["iteration"]) + 1,
-        )
-        best = None
-        if header.get("has_best"):
-            best_labels = np.ascontiguousarray(
-                arrays["best_labels"], dtype=np.int64
-            )
-            best_fractions = (
-                [float(f) for f in arrays["best_fractions"]]
-                if "best_fractions" in arrays else None
-            )
-            best = (
-                float(header["best_inertia"]),
-                _thetas("best_theta_"),
-                best_labels,
-                self.set_assignments(best_labels),
-                int(header["best_iterations"]),
-                best_fractions,
-            )
-        return int(header["restart"]), resume_state, best
-
-    # -- main loop -----------------------------------------------------------
-    def _single_run(
-        self,
-        X: np.ndarray,
-        rng: np.random.Generator,
-        materialize: bool,
-        weights: Optional[np.ndarray],
-        x_squared_norms: np.ndarray,
-        restart_index: int = 0,
-        resume=None,
-        fingerprint=None,
-        best_state=None,
-        parallel=INLINE_POOL,
-    ):
-        factored = self.uses_factored_assignment
-        if resume is None:
-            thetas = self._init_protocentroids(X, rng)
-            bounds = (
-                HamerlyBounds(x_squared_norms, X.shape[1])
-                if self._uses_pruning(materialize) else None
-            )
-            fractions: Optional[List[float]] = [] if bounds is not None else None
-            labels = np.zeros(X.shape[0], dtype=np.int64)
-            set_labels: Optional[np.ndarray] = None
-            start = 1
+    # ------------------------------------------------- the Lloyd driver hooks
+    def _begin_run(self, ctx, bounds, rng=None, arrays=None):
+        """A fresh restart seeded from ``rng``, or one rebuilt from its
+        checkpointed ``arrays``."""
+        if arrays is None:
+            thetas = self._init_protocentroids(ctx.X, rng)
+            labels = np.zeros(ctx.X.shape[0], dtype=np.int64)
+            set_labels = None
+            fractions = [] if bounds is not None else None
         else:
-            thetas, labels, set_labels, bounds, fractions, start = resume
+            thetas = require_sets(
+                arrays, "theta_", len(self.cardinalities), self.resume_from,
+                self.dtype_,
+            )
+            labels = np.ascontiguousarray(arrays["labels"], dtype=np.int64)
+            set_labels = self.set_assignments(labels)
+            fractions = (
+                None if bounds is None
+                else [float(f) for f in arrays["fractions"]]
+            )
         # Shift tracking: the factored closed form and the chunked memory
         # comparison diff protocentroids directly, so both seed the cached
         # previous copies from the current protocentroids; the materialized
@@ -961,83 +688,77 @@ class KhatriRaoKMeans:
         # of every completed iteration the caches equal the current
         # protocentroids / their combination, which is what the checkpoint
         # stores.)
-        if not factored and materialize:
+        if not self.uses_factored_assignment and ctx.materialize:
             previous_thetas = None
             old_centroids = khatri_rao_combine(thetas, self.aggregator)
         else:
             previous_thetas = [theta.copy() for theta in thetas]
             old_centroids = None
-        interrupted = False
-        # `completed` advances only once an iteration's protocentroid
-        # update has landed, so the KeyboardInterrupt handler always
-        # reports a consistent last-completed count.
-        completed = start - 1
-        try:
-            for iterations in range(start, self.max_iter + 1):
-                if bounds is None:
-                    labels, _ = self._assign(
-                        X, thetas, materialize, x_squared_norms,
-                        parallel=parallel,
-                    )
-                else:
-                    labels, fraction = self._assign_iteration(
-                        X, thetas, materialize, x_squared_norms, labels,
-                        set_labels, bounds, parallel=parallel,
-                    )
-                    fractions.append(fraction)
-                set_labels = self.set_assignments(labels)
-                thetas = self._update_protocentroids(
-                    X, thetas, set_labels, rng, weights, parallel=parallel
-                )
-                shift, old_centroids, drift = self._centroid_shift(
-                    thetas, previous_thetas, old_centroids, materialize,
-                    want_drift=bounds is not None,
-                )
-                completed = iterations
-                if self.callback is not None:
-                    self.callback(restart_index, iterations)
-                if shift < self.tol:
-                    break
-                if bounds is not None:
-                    # Triangle-inequality inflation: the assigned centroid's
-                    # drift bound raises each upper bound, the grid-wide
-                    # maximum lowers every second-nearest bound.
-                    if drift[0] == "tables":
-                        assigned_drift, max_drift = drift_inflation_from_tables(
-                            drift[1], set_labels
-                        )
-                    else:
-                        assigned_drift = drift[1][labels]
-                        max_drift = float(drift[1].max())
-                    bounds.inflate(assigned_drift, max_drift)
-                # Snapshot only on continuing iterations: a resumed run
-                # always has at least the terminal iteration left to do.
-                self._write_checkpoint(
-                    restart_index, iterations, thetas, labels, bounds,
-                    fractions, rng, fingerprint, best_state,
-                )
-            else:  # pragma: no cover - depends on data
-                warnings.warn(
-                    f"KhatriRaoKMeans did not converge in "
-                    f"{self.max_iter} iterations",
-                    ConvergenceWarning,
-                    stacklevel=2,
-                )
-        except KeyboardInterrupt:
-            interrupted = True
-        labels, min_distances = self._assign(
-            X, thetas, materialize, x_squared_norms, parallel=parallel
+        return SimpleNamespace(
+            thetas=thetas, labels=labels, set_labels=set_labels,
+            bounds=bounds, fractions=fractions,
+            previous_thetas=previous_thetas, old_centroids=old_centroids,
         )
+
+    @staticmethod
+    def _run_arrays(run) -> dict:
+        arrays = {"labels": run.labels}
+        for q, theta in enumerate(run.thetas):
+            arrays[f"theta_{q}"] = theta
+        if run.fractions is not None:
+            arrays["fractions"] = np.asarray(run.fractions, dtype=np.float64)
+        return arrays
+
+    def _final_assign(self, ctx, run):
+        return self._assign(
+            ctx.X, run.thetas, ctx.materialize, ctx.x_squared_norms,
+            parallel=ctx.parallel,
+        )
+
+    def _lloyd_step(self, ctx, run, rng) -> float:
+        """One iteration of Algorithm 1 on ``run``; returns the shift."""
+        X, materialize, parallel = ctx.X, ctx.materialize, ctx.parallel
+        thetas, bounds = run.thetas, run.bounds
+        if bounds is None:
+            labels, _ = self._assign(
+                X, thetas, materialize, ctx.x_squared_norms, parallel=parallel
+            )
+        else:
+            # Points whose bounds certify a strictly-nearest assigned
+            # centroid keep their label; the rest are tightened, and the
+            # survivors re-scored through the regular kernels.
+            labels, fraction, _ = pruned_assignment(
+                bounds, run.labels, X, ctx.x_squared_norms,
+                lambda idx: self._combine_rows(thetas, run.set_labels[idx]),
+                lambda rows, norms: self._assign(
+                    rows, thetas, materialize, norms, return_second=True,
+                    parallel=parallel,
+                ),
+                parallel,
+            )
+            run.fractions.append(fraction)
         set_labels = self.set_assignments(labels)
-        # float64 reduction for any working dtype (exact no-op at f64).
-        weighted_inertia = float(
-            min_distances.sum(dtype=np.float64) if weights is None
-            else (min_distances * weights).sum(dtype=np.float64)
+        updated = self._update_protocentroids(
+            X, thetas, set_labels, rng, ctx.weights, parallel=parallel
         )
-        return (
-            thetas, labels, set_labels, weighted_inertia, completed,
-            fractions, interrupted,
+        shift, run.old_centroids, drift = self._centroid_shift(
+            updated, run.previous_thetas, run.old_centroids, materialize,
+            want_drift=bounds is not None,
         )
+        run.thetas, run.labels, run.set_labels = updated, labels, set_labels
+        if bounds is not None and shift >= self.tol:
+            # Triangle-inequality inflation: the assigned centroid's drift
+            # bound raises each upper bound, the grid-wide maximum lowers
+            # every second-nearest bound.
+            if drift[0] == "tables":
+                assigned_drift, max_drift = drift_inflation_from_tables(
+                    drift[1], set_labels
+                )
+            else:
+                assigned_drift = drift[1][labels]
+                max_drift = float(drift[1].max())
+            bounds.inflate(assigned_drift, max_drift)
+        return shift
 
     def _store_previous_thetas(
         self, previous_thetas: List[np.ndarray], thetas: List[np.ndarray]
@@ -1088,7 +809,7 @@ class KhatriRaoKMeans:
             ))
             return shift, new_centroids, drift
         # Memory mode: measure movement chunk by chunk against the cached
-        # previous protocentroids (seeded by _single_run) to avoid
+        # previous protocentroids (seeded by _begin_run) to avoid
         # materializing all centroids.  Decomposable aggregators get their
         # drift bounds from the Σh_q factored tables even here (the
         # assignment knob may have forced the materialized comparison); the

@@ -51,19 +51,11 @@ from .._validation import (
     check_dtype,
     check_finite_norms,
     check_in,
+    check_n_features,
     check_positive_int,
     check_random_state,
 )
 from ..exceptions import CheckpointError, NotFittedError, ValidationError
-from ..runtime.checkpoint import (
-    check_header_fields,
-    data_fingerprint,
-    read_checkpoint,
-    resolve_checkpoint,
-    restore_rng_state,
-    serialize_rng_state,
-    write_checkpoint,
-)
 from ..runtime.parallel import INLINE_POOL, RowBlockPool, resolve_parallel
 from ..linalg import (
     get_aggregator,
@@ -73,6 +65,16 @@ from ..linalg import (
 )
 from ._bounds import StreamingBounds, check_pruning
 from ._distances import assign_to_nearest, row_norms_squared
+from ._driver import (
+    fit_fingerprint,
+    iterate,
+    read_state,
+    require,
+    require_sets,
+    resolve_training,
+    weighted_inertia,
+    write_state,
+)
 from ._factored import (
     ASSIGNMENT_MODES,
     assign_factored,
@@ -88,10 +90,30 @@ from ._update import (
     resolve_update,
 )
 from .kmeans import _check_sample_weight
+from .kr_kmeans import sample_protocentroids
 
 __all__ = ["BatchStats", "MiniBatchKhatriRaoKMeans"]
 
 _EPSILON = 1e-12
+
+
+def _bounds_arrays(state: StreamingBounds) -> dict:
+    """A :class:`StreamingBounds` as ``sb_``-prefixed checkpoint arrays."""
+    arrays = {f"sb_{name}": value for name, value in state.state_arrays().items()}
+    for q, cum in enumerate(state.cum):
+        arrays[f"sb_cum_{q}"] = cum
+    return arrays
+
+
+def _load_bounds(state: StreamingBounds, arrays, header, path) -> StreamingBounds:
+    """Inverse of :func:`_bounds_arrays` into a fresh ``state``."""
+    state.load_state(
+        {name: require(arrays, f"sb_{name}", path)
+         for name in state.state_names()},
+        require_sets(arrays, "sb_cum_", len(state.cardinalities), path),
+        header["cum_max"],
+    )
+    return state
 
 
 @dataclass(frozen=True)
@@ -268,6 +290,11 @@ class MiniBatchKhatriRaoKMeans:
     (9, 2)
     """
 
+    #: knobs a checkpoint must match to resume (with the working dtype)
+    _CHECKPOINT_PARAMS = ("cardinalities", "aggregator", "batch_size",
+                          "max_steps", "reassignment_tol", "assignment",
+                          "update", "pruning")
+
     def __init__(
         self,
         cardinalities: Sequence[int],
@@ -296,11 +323,9 @@ class MiniBatchKhatriRaoKMeans:
         self.pruning = check_pruning(pruning)
         self.dtype = check_dtype(dtype)
         self.random_state = random_state
-        self.checkpoint = resolve_checkpoint(checkpoint)
-        self.resume_from = None if resume_from is None else Path(resume_from)
-        if callback is not None and not callable(callback):
-            raise ValidationError(f"callback must be callable, got {callback!r}")
-        self.callback = callback
+        self.checkpoint, self.resume_from, self.callback, _ = resolve_training(
+            checkpoint, resume_from, callback
+        )
         self.n_threads = resolve_parallel(n_threads)
 
         self.protocentroids_: Optional[List[np.ndarray]] = None
@@ -373,73 +398,71 @@ class MiniBatchKhatriRaoKMeans:
     def _fit(self, X, weights, rng, parallel) -> "MiniBatchKhatriRaoKMeans":
         x_squared_norms = row_norms_squared(X, parallel=parallel)
         check_finite_norms(x_squared_norms, X.dtype)
-        # The full-pass sha256 fingerprint only feeds checkpoint headers;
-        # plain fits (and streamed memmap fits) skip it entirely.
-        fingerprint = (
-            data_fingerprint(X, weights)
-            if self.checkpoint is not None or self.resume_from is not None
-            else None
+        fingerprint = fit_fingerprint(self, X, weights)
+        state = (
+            StreamingBounds(x_squared_norms, X.shape[1], self.cardinalities)
+            if self.uses_pruning else None
         )
-        smoothed_shift = np.inf
-        start = 1
         if self.resume_from is not None:
-            state, smoothed_shift, start = self._load_checkpoint(
-                rng, fingerprint, x_squared_norms, X.shape[1]
+            smoothed_shift, start = self._load_checkpoint(
+                rng, fingerprint, state
             )
         else:
             self._initialize(X, rng)
-            state = (
-                StreamingBounds(x_squared_norms, X.shape[1], self.cardinalities)
-                if self.uses_pruning else None
-            )
             self.reassignment_fractions_ = [] if state is not None else None
-        interrupted = False
-        try:
-            for step in range(start, self.max_steps + 1):
-                indices = rng.choice(
-                    X.shape[0], size=min(self.batch_size, X.shape[0]),
-                    replace=False,
+            smoothed_shift, start = np.inf, 1
+
+        def step(iteration):
+            nonlocal smoothed_shift
+            indices = rng.choice(
+                X.shape[0], size=min(self.batch_size, X.shape[0]),
+                replace=False,
+            )
+            batch = X[indices]
+            # Fancy-indexed batches (and weights) are gathered copies, so a
+            # memory-mapped X is touched batch_size rows per step.
+            wb = None if weights is None else weights[indices]
+            if state is None:
+                shift = self.partial_fit_batch(
+                    batch, rng, sample_weight=wb, parallel=parallel
                 )
-                batch = X[indices]
-                # Fancy-indexed batches (and weights) are gathered copies,
-                # so a memory-mapped X is touched batch_size rows per step.
-                wb = None if weights is None else weights[indices]
-                if state is None:
-                    shift = self.partial_fit_batch(
-                        batch, rng, sample_weight=wb, parallel=parallel
-                    )
-                else:
-                    labels, fraction = self._pruned_batch_labels(
-                        batch, indices, state, parallel
-                    )
-                    shift = self._finish_step(
-                        batch, labels, fraction, wb, parallel, state
-                    )
-                smoothed_shift = shift if not np.isfinite(smoothed_shift) else (
-                    0.7 * smoothed_shift + 0.3 * shift
+            else:
+                labels, fraction = self._pruned_batch_labels(
+                    batch, indices, state, parallel
                 )
-                self.n_steps_ = step
-                if self.callback is not None:
-                    self.callback(0, step)
-                if smoothed_shift < self.reassignment_tol:
-                    break
-                # Snapshot only on continuing steps: a resumed run always
-                # has at least the terminal step left to do.
-                self._write_checkpoint(
-                    step, state, smoothed_shift, rng, fingerprint
+                shift = self._finish_step(
+                    batch, labels, fraction, wb, parallel, state
                 )
-        except KeyboardInterrupt:
-            # Keep the last-completed-step model; protocentroids/counts
-            # advance in place per step, so whatever landed is consistent
-            # enough to finalize (mid-step interrupts leave a partially
-            # updated sweep — still a valid model to score).
-            interrupted = True
-        self.labels_, distances = self._assign(X, parallel=parallel)
-        # float64 reduction for any working dtype (exact no-op at f64).
-        self.inertia_ = float(
-            distances.sum(dtype=np.float64) if weights is None
-            else (distances * weights).sum(dtype=np.float64)
+            smoothed_shift = shift if not np.isfinite(smoothed_shift) else (
+                0.7 * smoothed_shift + 0.3 * shift
+            )
+            self.n_steps_ = iteration
+            return smoothed_shift
+
+        def snapshot(iteration, path):
+            arrays = self._model_arrays()
+            if state is not None:
+                arrays.update(_bounds_arrays(state))
+                arrays["fractions"] = np.asarray(
+                    self.reassignment_fractions_, dtype=np.float64
+                )
+            write_state(path, self, {
+                "step": iteration,
+                "smoothed_shift": float(smoothed_shift),
+                "has_bounds": state is not None,
+                "cum_max": None if state is None else float(state.cum_max),
+            }, arrays, data=fingerprint, rng=rng)
+
+        # An interrupt keeps the last-completed-step model: protocentroids
+        # and counts advance in place per step, so whatever landed is
+        # consistent enough to finalize (mid-step interrupts leave a
+        # partially updated sweep — still a valid model to score).
+        _, interrupted = iterate(
+            self, step, snapshot, start=start, stop=self.max_steps,
+            tol=self.reassignment_tol,
         )
+        self.labels_, distances = self._assign(X, parallel=parallel)
+        self.inertia_ = weighted_inertia(distances, weights)
         self.converged_ = not interrupted
         return self
 
@@ -466,6 +489,10 @@ class MiniBatchKhatriRaoKMeans:
         if self.dtype_ is None:
             self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
         batch = check_array(batch, dtype=self.dtype_)
+        if self.protocentroids_ is not None:
+            check_n_features(
+                batch, self.protocentroids_[0].shape[1], name="batch"
+            )
         weights = (
             None if sample_weight is None
             else _check_sample_weight(
@@ -513,32 +540,30 @@ class MiniBatchKhatriRaoKMeans:
 
     def predict(self, X) -> np.ndarray:
         """Assign rows of ``X`` to their nearest reconstructed centroid."""
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
-            )
+        self._check_fitted()
         X = check_array(X, dtype=self.protocentroids_[0].dtype)
+        check_n_features(X, self.protocentroids_[0].shape[1])
         with RowBlockPool(self.n_threads) as pool:
             labels, _ = self._assign(X, parallel=pool)
         return labels
 
     def centroids(self) -> np.ndarray:
         """Materialize the centroid matrix from the protocentroids."""
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
-            )
+        self._check_fitted()
         return khatri_rao_combine(self.protocentroids_, self.aggregator)
 
     def parameter_count(self) -> int:
         """Scalars stored by the summary: ``(∑ h_q) · m``."""
+        self._check_fitted()
+        return int(sum(theta.size for theta in self.protocentroids_))
+
+    # ------------------------------------------------------------ internals
+    def _check_fitted(self) -> None:
         if self.protocentroids_ is None:
             raise NotFittedError(
                 "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
             )
-        return int(sum(theta.size for theta in self.protocentroids_))
 
-    # ------------------------------------------------------------ internals
     def _assign(
         self, X: np.ndarray, return_second: bool = False, parallel=INLINE_POOL
     ):
@@ -553,130 +578,53 @@ class MiniBatchKhatriRaoKMeans:
         )
 
     def _initialize(self, X: np.ndarray, rng: np.random.Generator) -> None:
-        p = len(self.cardinalities)
-        thetas = []
-        for q, h in enumerate(self.cardinalities):
-            samples = X[rng.choice(X.shape[0], size=h, replace=X.shape[0] < h)]
-            block = np.empty((h, X.shape[1]), dtype=X.dtype)
-            for j in range(h):
-                block[j] = self.aggregator.split(samples[j], p)[q]
-            thetas.append(block)
-        self.protocentroids_ = thetas
+        self.protocentroids_ = sample_protocentroids(
+            X, self.cardinalities, self.aggregator, rng
+        )
         # Learning-rate bookkeeping stays float64 at any working dtype: the
         # counts only feed the scalar schedule eta = batch/total.
         self._counts = [np.zeros(h) for h in self.cardinalities]
 
     # --------------------------------------------------------- checkpointing
-    def _param_header(self) -> dict:
-        """Configuration fingerprint a checkpoint must match to resume."""
-        return {
-            "cardinalities": [int(h) for h in self.cardinalities],
-            "aggregator": self.aggregator.name,
-            "batch_size": self.batch_size,
-            "max_steps": self.max_steps,
-            "reassignment_tol": self.reassignment_tol,
-            "assignment": self.assignment,
-            "update": self.update,
-            "pruning": self.pruning,
-            "dtype": np.dtype(self.dtype_).name,
-        }
-
-    def _write_checkpoint(
-        self, step, state, smoothed_shift, rng, fingerprint
-    ) -> None:
-        if self.checkpoint is None or not self.checkpoint.due(step):
-            return
-        header = {
-            "estimator": type(self).__name__,
-            "params": self._param_header(),
-            "data": fingerprint,
-            "step": step,
-            "smoothed_shift": float(smoothed_shift),
-            "rng_state": serialize_rng_state(rng),
-            "has_bounds": state is not None,
-            "cum_max": None if state is None else float(state.cum_max),
-        }
+    def _model_arrays(self) -> dict:
+        """Protocentroids and learning-rate masses, as checkpoint arrays."""
         arrays = {}
         for q, theta in enumerate(self.protocentroids_):
             arrays[f"theta_{q}"] = theta
         for q, counts in enumerate(self._counts):
             arrays[f"counts_{q}"] = counts
-        if state is not None:
-            arrays["sb_known"] = state.known
-            arrays["sb_labels"] = state.labels
-            arrays["sb_upper"] = state.upper
-            arrays["sb_lower"] = state.lower
-            arrays["sb_u_anchor"] = state.u_anchor
-            arrays["sb_m_anchor"] = state.m_anchor
-            for q, cum in enumerate(state.cum):
-                arrays[f"sb_cum_{q}"] = cum
-            arrays["fractions"] = np.asarray(
-                self.reassignment_fractions_, dtype=np.float64
-            )
-        write_checkpoint(self.checkpoint.path, header, arrays)
+        return arrays
 
-    def _load_checkpoint(self, rng, fingerprint, x_squared_norms, n_features):
-        """Verify and unpack ``resume_from``; restores the streaming state
-        (protocentroids, counts, bounds, fractions, RNG) in place.
-
-        Returns ``(state, smoothed_shift, start_step)``.
-        """
-        header, arrays = read_checkpoint(self.resume_from)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "params": self._param_header(),
-                "data": fingerprint,
-            },
-            path=self.resume_from,
+    def _load_model_arrays(self, arrays, path) -> None:
+        """Inverse of :meth:`_model_arrays`."""
+        p = len(self.cardinalities)
+        self.protocentroids_ = require_sets(
+            arrays, "theta_", p, path, self.dtype_
         )
-        restore_rng_state(rng, header["rng_state"])
-        thetas = []
-        counts = []
-        for q in range(len(self.cardinalities)):
-            for prefix, into, dtype in (
-                ("theta_", thetas, self.dtype_), ("counts_", counts, np.float64),
-            ):
-                key = f"{prefix}{q}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{self.resume_from} is missing state array {key!r}",
-                        field=key,
-                    )
-                into.append(np.ascontiguousarray(arrays[key], dtype=dtype))
-        self.protocentroids_ = thetas
-        self._counts = counts
-        state = None
+        self._counts = require_sets(arrays, "counts_", p, path, np.float64)
+
+    def _load_checkpoint(self, rng, fingerprint, state):
+        """Verify and unpack ``resume_from``; restores the streaming state
+        (protocentroids, counts, ``state`` bounds, fractions, RNG) in place.
+
+        Returns ``(smoothed_shift, start_step)``.
+        """
+        path = self.resume_from
+        header, arrays = read_state(path, self, data=fingerprint, rng=rng)
+        self._load_model_arrays(arrays, path)
         self.reassignment_fractions_ = None
-        if self.uses_pruning:
+        if state is not None:
             if not header.get("has_bounds"):
                 raise CheckpointError(
-                    f"{self.resume_from} carries no streaming bounds but the "
-                    "resuming estimator prunes", field="sb_known",
+                    f"{path} carries no streaming bounds but the resuming "
+                    "estimator prunes", field="sb_known",
                 )
-            state = StreamingBounds(
-                x_squared_norms, n_features, self.cardinalities
-            )
-            state.known = np.ascontiguousarray(arrays["sb_known"], dtype=bool)
-            state.labels = np.ascontiguousarray(
-                arrays["sb_labels"], dtype=np.int64
-            )
-            for name in ("upper", "lower", "u_anchor", "m_anchor"):
-                setattr(state, name, np.ascontiguousarray(
-                    arrays[f"sb_{name}"], dtype=np.float64
-                ))
-            state.cum = [
-                np.ascontiguousarray(arrays[f"sb_cum_{q}"], dtype=np.float64)
-                for q in range(len(self.cardinalities))
-            ]
-            state.cum_max = float(header["cum_max"])
+            _load_bounds(state, arrays, header, path)
             self.reassignment_fractions_ = [
                 float(f) for f in arrays["fractions"]
             ]
-        step = int(header["step"])
-        self.n_steps_ = step
-        return state, float(header["smoothed_shift"]), step + 1
+        self.n_steps_ = int(header["step"])
+        return float(header["smoothed_shift"]), self.n_steps_ + 1
 
     # ------------------------------------------------- stream checkpointing
     def save_stream(self, path, extra_header: Optional[dict] = None):
@@ -698,80 +646,39 @@ class MiniBatchKhatriRaoKMeans:
             )
         state = self._stream_state
         stats = self.last_batch_stats_
-        header = {
-            "estimator": type(self).__name__,
-            "kind": "stream",
-            "params": self._param_header(),
-            "step": self.n_steps_,
-            "has_fractions": self.reassignment_fractions_ is not None,
-            "has_bounds": state is not None,
-            "cum_max": None if state is None else float(state.cum_max),
-            "stats": None if stats is None else stats.to_dict(),
-        }
-        if extra_header:
-            for key in extra_header:
-                if key in header:
-                    raise ValidationError(
-                        f"extra_header key {key!r} collides with the "
-                        "stream checkpoint schema"
-                    )
-            header.update(extra_header)
-        arrays = {}
-        for q, theta in enumerate(self.protocentroids_):
-            arrays[f"theta_{q}"] = theta
-        for q, counts in enumerate(self._counts):
-            arrays[f"counts_{q}"] = counts
+        arrays = self._model_arrays()
         if self.reassignment_fractions_ is not None:
             arrays["fractions"] = np.asarray(
                 self.reassignment_fractions_, dtype=np.float64
             )
         if state is not None:
-            for name, value in state.state_arrays().items():
-                arrays[f"sb_{name}"] = value
-            for q, cum in enumerate(state.cum):
-                arrays[f"sb_cum_{q}"] = cum
+            arrays.update(_bounds_arrays(state))
         if stats is not None:
             arrays["stats_labels"] = np.asarray(stats.labels, dtype=np.int64)
             for q, table in enumerate(stats.drift_norms):
                 arrays[f"stats_drift_{q}"] = np.asarray(table)
-        write_checkpoint(path, header, arrays)
+        write_state(path, self, {
+            "step": self.n_steps_,
+            "has_fractions": self.reassignment_fractions_ is not None,
+            "has_bounds": state is not None,
+            "cum_max": None if state is None else float(state.cum_max),
+            "stats": None if stats is None else stats.to_dict(),
+        }, arrays, kind="stream", extra=extra_header)
         return Path(path)
 
     def load_stream(self, path) -> "MiniBatchKhatriRaoKMeans":
         """Restore a :meth:`save_stream` snapshot into this estimator.
 
         The estimator must be configured identically to the writer (same
-        ``_param_header`` fingerprint — verified, mismatch is a typed
+        parameter fingerprint — verified, mismatch is a typed
         :class:`~repro.exceptions.CheckpointError`); continuing the batch
         sequence afterwards is bit-identical to the uninterrupted stream,
         bounds decisions included.  Returns ``self``.
         """
         if self.dtype_ is None:
             self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
-        header, arrays = read_checkpoint(path)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "kind": "stream",
-                "params": self._param_header(),
-            },
-            path=path,
-        )
-        thetas = []
-        counts = []
-        for q in range(len(self.cardinalities)):
-            for prefix, into, dtype in (
-                ("theta_", thetas, self.dtype_), ("counts_", counts, np.float64),
-            ):
-                key = f"{prefix}{q}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{path} is missing state array {key!r}", field=key,
-                    )
-                into.append(np.ascontiguousarray(arrays[key], dtype=dtype))
-        self.protocentroids_ = thetas
-        self._counts = counts
+        header, arrays = read_state(path, self, kind="stream")
+        self._load_model_arrays(arrays, path)
         self.n_steps_ = int(header["step"])
         self.reassignment_fractions_ = (
             [float(f) for f in arrays["fractions"]]
@@ -779,37 +686,13 @@ class MiniBatchKhatriRaoKMeans:
         )
         self._stream_state = None
         if header.get("has_bounds"):
-            state = StreamingBounds.for_stream(
-                thetas[0].shape[1], self.cardinalities, seed_dtype=self.dtype_
+            self._stream_state = _load_bounds(
+                StreamingBounds.for_stream(
+                    self.protocentroids_[0].shape[1], self.cardinalities,
+                    seed_dtype=self.dtype_,
+                ),
+                arrays, header, path,
             )
-            n = arrays["sb_known"].shape[0]
-            state._grow_to(n)
-            state.size = n
-            state.known[:n] = np.ascontiguousarray(
-                arrays["sb_known"], dtype=bool
-            )
-            state.labels[:n] = np.ascontiguousarray(
-                arrays["sb_labels"], dtype=np.int64
-            )
-            for name, attr in (
-                ("upper", "upper"), ("lower", "lower"),
-                ("u_anchor", "u_anchor"), ("m_anchor", "m_anchor"),
-                ("norms", "norms"), ("margin_base", "_margin_base"),
-            ):
-                key = f"sb_{name}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{path} is missing state array {key!r}", field=key,
-                    )
-                getattr(state, attr)[:n] = np.ascontiguousarray(
-                    arrays[key], dtype=np.float64
-                )
-            state.cum = [
-                np.ascontiguousarray(arrays[f"sb_cum_{q}"], dtype=np.float64)
-                for q in range(len(self.cardinalities))
-            ]
-            state.cum_max = float(header["cum_max"])
-            self._stream_state = state
         self.last_batch_stats_ = None
         if header.get("stats") is not None:
             fields = dict(header["stats"])

@@ -75,3 +75,49 @@ def test_docs_relative_links_resolve():
             if not (doc.parent / target).exists():
                 broken.append(f"{doc.name}: {target}")
     assert not broken, f"broken relative links: {broken}"
+
+
+def test_docs_code_references_resolve():
+    """Backticked ``Class.attr`` / ``repro.module`` names in the docs exist.
+
+    Checked: every reference whose first segment is a class exported by
+    ``repro`` (``KhatriRaoKMeans._assign``) or that is a dotted ``repro.``
+    path (``repro.core._bounds``).  Renaming a private method or module
+    the docs cite fails here instead of leaving a dangling reference.
+    """
+    import importlib
+
+    import repro
+
+    classes = {
+        name for name in repro.__all__
+        if isinstance(getattr(repro, name), type)
+    }
+    dotted = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+    docs = [_REPO_ROOT / "README.md", *sorted((_REPO_ROOT / "docs").glob("*.md"))]
+    broken = []
+    for doc in docs:
+        for ref in re.findall(r"`([^`\n]+)`", doc.read_text(encoding="utf-8")):
+            ref = ref[:-2] if ref.endswith("()") else ref
+            parts = ref.split(".")
+            if not dotted.fullmatch(ref):
+                continue
+            if parts[0] in classes:
+                obj, rest = getattr(repro, parts[0]), parts[1:]
+            elif parts[0] == "repro":
+                # Longest importable module prefix, then attributes.
+                for cut in range(len(parts), 0, -1):
+                    try:
+                        obj = importlib.import_module(".".join(parts[:cut]))
+                        break
+                    except ImportError:
+                        continue
+                rest = parts[cut:]
+            else:
+                continue
+            for name in rest:
+                if not hasattr(obj, name):
+                    broken.append(f"{doc.name}: {ref}")
+                    break
+                obj = getattr(obj, name)
+    assert not broken, f"dangling code references: {broken}"

@@ -9,7 +9,7 @@ from repro import (
     MiniBatchKhatriRaoKMeans,
     NaiveKhatriRao,
 )
-from repro.exceptions import ValidationError
+from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.linalg import khatri_rao_combine
 
 
@@ -61,6 +61,44 @@ class TestDegenerateData:
     def test_min_samples_guard(self):
         with pytest.raises(ValidationError):
             KhatriRaoKMeans((5, 2)).fit(np.ones((3, 2)))
+
+
+    @pytest.mark.parametrize("estimator,method", [
+        ("kmeans", "predict"), ("kmeans", "score"), ("kmeans", "transform"),
+        ("kr_kmeans", "predict"),
+        ("minibatch", "predict"), ("minibatch", "partial_fit"),
+    ])
+    def test_feature_count_mismatch_is_typed(self, estimator, method):
+        # Used to die inside matmul with numpy's untyped core-dimension
+        # ValueError for all but the two predict paths that checked.
+        X = np.random.default_rng(4).normal(size=(60, 4))
+        model = {
+            "kmeans": lambda: KMeans(4, n_init=1, random_state=0),
+            "kr_kmeans": lambda: KhatriRaoKMeans(
+                (2, 2), n_init=1, random_state=0
+            ),
+            "minibatch": lambda: MiniBatchKhatriRaoKMeans(
+                (2, 2), batch_size=20, max_steps=5, random_state=0
+            ),
+        }[estimator]().fit(X)
+        with pytest.raises(ValidationError,
+                           match="has 3 features, model was fitted with 4"):
+            getattr(model, method)(X[:, :3])
+
+
+class TestConvergenceWarning:
+    @pytest.mark.parametrize("factory", [
+        lambda: KMeans(4, n_init=1, max_iter=1, tol=0.0, random_state=0),
+        lambda: KhatriRaoKMeans((2, 2), n_init=1, max_iter=1, tol=0.0,
+                                random_state=0),
+    ], ids=["kmeans", "kr_kmeans"])
+    def test_points_at_the_callers_fit_line(self, factory):
+        # Attributed to the library line, default filters collapsed the
+        # warnings of every call site into one.
+        X = np.random.default_rng(5).normal(size=(60, 3))
+        with pytest.warns(ConvergenceWarning) as record:
+            factory().fit(X)
+        assert record[0].filename == __file__
 
 
 class TestNumericalRobustness:

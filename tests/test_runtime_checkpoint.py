@@ -291,3 +291,153 @@ def test_checkpoint_cadence_still_resumes_exactly(X, tmp_path):
     resumed.fit(X)
     assert resumed.inertia_ == reference.inertia_
     assert np.array_equal(resumed.labels_, reference.labels_)
+
+
+# -------------------------------------------- driver paths: more resumes
+_W = np.random.default_rng(0).uniform(0.5, 2.0, size=200)
+
+
+@pytest.mark.parametrize("factory,weighted", [
+    pytest.param(
+        lambda: KhatriRaoKMeans(
+            (2, 3), mode="memory", chunk_size=2, assignment="factored",
+            pruning="bounds", n_init=3, max_iter=40, random_state=5,
+        ),
+        False, id="kr-memory-factored-sum",
+    ),
+    pytest.param(
+        lambda: KhatriRaoKMeans(
+            (2, 3), aggregator="product", mode="memory", chunk_size=2,
+            assignment="materialized", pruning="bounds", n_init=3,
+            max_iter=40, random_state=5,
+        ),
+        False, id="kr-memory-materialized-product",
+    ),
+    pytest.param(
+        lambda: KMeans(6, n_init=3, max_iter=40, random_state=11),
+        True, id="kmeans-weighted",
+    ),
+    pytest.param(
+        lambda: KhatriRaoKMeans((2, 3), n_init=3, max_iter=40,
+                                random_state=5),
+        True, id="kr-weighted",
+    ),
+])
+@pytest.mark.filterwarnings("ignore::repro.exceptions.ConvergenceWarning")
+def test_resume_bit_identity_more_paths(X, tmp_path, factory, weighted):
+    """Memory-mode shift caches and sample weights survive a resume."""
+    weights = _W if weighted else None
+    reference = factory().fit(X, sample_weight=weights)
+    path = tmp_path / "fit.npz"
+    torn = factory()
+    torn.checkpoint = resolve_checkpoint(path)
+    torn.callback = InterruptAt(1, 2)
+    torn.fit(X, sample_weight=weights)
+    assert not torn.converged_ and path.exists()
+    resumed = factory()
+    resumed.resume_from = path
+    resumed.fit(X, sample_weight=weights)
+    assert resumed.converged_
+    assert np.array_equal(resumed.labels_, reference.labels_)
+    assert resumed.inertia_ == reference.inertia_
+    assert resumed.n_iter_ == reference.n_iter_
+    state = getattr(reference, "protocentroids_", None) or [
+        reference.cluster_centers_
+    ]
+    resumed_state = getattr(resumed, "protocentroids_", None) or [
+        resumed.cluster_centers_
+    ]
+    for a, b in zip(state, resumed_state):
+        assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------- on-disk schema pin
+_FIT_HEADER = {
+    "estimator", "params", "data", "rng_state", "restart", "iteration",
+    "bounds_initialized", "has_best", "best_inertia", "best_iterations",
+    "format_version", "checksums",
+}
+_MB_FIT_HEADER = {
+    "estimator", "params", "data", "rng_state", "step", "smoothed_shift",
+    "has_bounds", "cum_max", "format_version", "checksums",
+}
+_STREAM_HEADER = {
+    "estimator", "kind", "params", "step", "has_fractions", "has_bounds",
+    "cum_max", "stats", "format_version", "checksums",
+}
+_SB = {f"sb_{name}": "float64"
+       for name in ("upper", "lower", "u_anchor", "m_anchor",
+                    "cum_0", "cum_1")}
+_SB.update(sb_known="bool", sb_labels="int64")
+_MODEL = {"theta_0": "float64", "theta_1": "float64",
+          "counts_0": "float64", "counts_1": "float64"}
+
+
+def _pinned_fit(factory, trigger):
+    def write(X, path):
+        model = factory()
+        model.checkpoint = resolve_checkpoint(path)
+        model.callback = InterruptAt(*trigger)
+        model.fit(X)
+    return write
+
+
+def _pinned_stream(X, path):
+    model = MiniBatchKhatriRaoKMeans((2, 3), random_state=0)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        index = rng.choice(X.shape[0], size=50, replace=False)
+        model.partial_fit(X[index], index=index)
+    model.save_stream(path)
+
+
+@pytest.mark.parametrize("write,header_fields,array_dtypes", [
+    pytest.param(
+        _pinned_fit(lambda: KMeans(6, n_init=3, max_iter=40,
+                                   random_state=11, pruning="bounds"),
+                    (1, 2)),
+        _FIT_HEADER,
+        {"centers": "float64", "labels": "int64",
+         "bounds_upper": "float64", "bounds_lower": "float64",
+         "best_centers": "float64", "best_labels": "int64"},
+        id="kmeans",
+    ),
+    pytest.param(
+        _pinned_fit(lambda: KhatriRaoKMeans((2, 3), n_init=3, max_iter=40,
+                                            random_state=5,
+                                            pruning="bounds"),
+                    (1, 2)),
+        _FIT_HEADER,
+        {"labels": "int64", "theta_0": "float64", "theta_1": "float64",
+         "fractions": "float64", "bounds_upper": "float64",
+         "bounds_lower": "float64", "best_labels": "int64",
+         "best_theta_0": "float64", "best_theta_1": "float64",
+         "best_fractions": "float64"},
+        id="kr_kmeans",
+    ),
+    pytest.param(
+        _pinned_fit(lambda: MiniBatchKhatriRaoKMeans(
+            (2, 3), batch_size=40, max_steps=30, random_state=9,
+        ), (0, 7)),
+        _MB_FIT_HEADER,
+        {**_MODEL, **_SB, "fractions": "float64"},
+        id="minibatch",
+    ),
+    pytest.param(
+        _pinned_stream,
+        _STREAM_HEADER,
+        {**_MODEL, **_SB, "fractions": "float64", "sb_norms": "float64",
+         "sb_margin_base": "float64", "stats_labels": "int64",
+         "stats_drift_0": "float64", "stats_drift_1": "float64"},
+        id="stream",
+    ),
+])
+def test_checkpoint_schema_is_pinned(X, tmp_path, write, header_fields,
+                                     array_dtypes):
+    """Header fields, array keys and dtypes of every checkpoint kind: a
+    change here breaks resuming checkpoints written by earlier releases."""
+    path = tmp_path / "state.npz"
+    write(X, path)
+    header, arrays = read_checkpoint(path)
+    assert set(header) == header_fields
+    assert {key: a.dtype.name for key, a in arrays.items()} == array_dtypes
