@@ -101,11 +101,26 @@ def squared_distances(
     tiny negative values produced by floating-point cancellation.
     ``x_squared_norms`` optionally supplies precomputed ``||x||^2`` so hot
     loops pay for it once per dataset instead of once per call.
+
+    The expansion is built in place in the ``X @ C.T`` product: it is
+    scaled by ``-2``, widened only where the mixed-dtype expression
+    ``x_sq[:, None] - 2.0 * (X @ C.T) + c_sq`` would promote, and the
+    norms are added into it.  ``a + (-b)`` equals ``a - b`` exactly, so
+    the result is bit-identical to that expression, without its three
+    extra ``(n, k)`` temporaries.
     """
     if x_squared_norms is None:
         x_squared_norms = np.einsum("ij,ij->i", X, X)
-    c_sq = np.einsum("ij,ij->i", C, C)[None, :]
-    distances = x_squared_norms[:, None] - 2.0 * (X @ C.T) + c_sq
+    c_sq = np.einsum("ij,ij->i", C, C)
+    distances = X @ C.T
+    # An integer product scales in float64, as ``2.0 * (X @ C.T)`` does.
+    distances = distances.astype(np.result_type(distances, 2.0), copy=False)
+    distances *= -2.0
+    distances = distances.astype(
+        np.result_type(distances, x_squared_norms, c_sq), copy=False
+    )
+    distances += x_squared_norms[:, None]
+    distances += c_sq
     np.maximum(distances, 0.0, out=distances)
     return distances
 

@@ -26,10 +26,11 @@ Which aggregators decompose this way is an aggregator capability
 the product aggregator does not, and estimators fall back to the
 materialized path for it.
 
-The module also hosts :func:`grouped_row_sum`, the fused-bincount scatter
-reduction used by the closed-form protocentroid updates
-(:mod:`repro.core._update`); ``np.add.at`` is an order of magnitude slower
-for this access pattern.
+The module also hosts :func:`grouped_row_sum`, the scatter reduction used
+by the centroid and closed-form protocentroid updates
+(:mod:`repro.core._update`): a one-hot sparse matrix times the values, with
+no scratch array of the data's size.  ``np.add.at`` is an order of
+magnitude slower for this access pattern.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse
 
 from .._validation import as_float_array, int_prod
 from ..exceptions import ValidationError
@@ -257,14 +259,14 @@ def grouped_row_sum(
     """Sum rows of ``values`` into ``num_groups`` buckets given by ``assignments``.
 
     Equivalent to ``np.add.at(out, assignments, values)`` on a zeroed
-    ``(num_groups, m)`` array, but implemented as a single flat
-    ``np.bincount`` over the fused index ``assignments·m + column`` —
+    ``(num_groups, m)`` array, but computed as the product of a one-hot
+    ``(num_groups, n)`` sparse matrix with ``values`` —
     ``np.add.at`` buffered scatter is a known order-of-magnitude slowdown
-    for this access pattern, and one fused pass beats the previous
-    per-column ``np.bincount`` loop (m Python-level calls over strided
-    columns) at every realistic ``m``.  Bit-identical to both: every output
-    bucket accumulates its contributions in the same (increasing-row)
-    order.
+    for this access pattern.  The sparse product walks the points in
+    increasing row order and adds each one into its bucket starting from
+    zero, so every bucket accumulates in the same order as ``np.add.at``
+    and the per-column ``np.bincount`` loop: the result is bit-identical
+    to both, and no ``(n, m)`` index or scratch array is built.
 
     **Accumulates — and returns — float64 for every input dtype.**  This is
     one of the two deliberate float64 islands of the ``dtype="float32"``
@@ -280,7 +282,7 @@ def grouped_row_sum(
     row block at a time so no full ``(n, m)`` product is ever built.
 
     ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`) runs
-    one fused-bincount partial per fixed row block, and the partials are
+    one sparse-product partial per fixed row block, and the partials are
     **summed in ascending block order** — the accumulation split is fixed
     by the block boundaries alone, so the result is bit-identical at
     every pool width.
@@ -301,16 +303,21 @@ def grouped_row_sum(
 def _grouped_row_sum_block(
     assignments: np.ndarray, values: np.ndarray, num_groups: int
 ) -> np.ndarray:
-    """One fused-bincount partial of :func:`grouped_row_sum` (one block)."""
-    m = values.shape[1]
-    if m == 0:
-        return np.zeros((num_groups, m), dtype=np.float64)
-    fused = assignments.astype(np.int64, copy=False)[:, None] * m + np.arange(
-        m, dtype=np.int64
+    """One sparse-product partial of :func:`grouped_row_sum` (one block).
+
+    Column ``i`` of the one-hot matrix holds a single 1 in row
+    ``assignments[i]``.  The CSC-times-dense product adds ``1·values[i]``
+    (exact) into bucket ``assignments[i]`` for ``i = 0, 1, …`` on a zeroed
+    float64 result; a float32 ``values`` is widened exactly first.
+    """
+    n = values.shape[0]
+    # The sparse kernel does not bounds-check its indices.
+    if n and (assignments.min() < 0 or assignments.max() >= num_groups):
+        raise ValidationError(
+            f"assignments must lie in [0, {num_groups}), got values in "
+            f"[{assignments.min()}, {assignments.max()}]"
+        )
+    one_hot = scipy.sparse.csc_array(
+        (np.ones(n), assignments, np.arange(n + 1)), shape=(num_groups, n)
     )
-    # np.bincount casts its weights to float64 internally (exact for f4
-    # inputs) and always returns a float64 accumulation.
-    return np.bincount(
-        fused.ravel(), weights=np.ascontiguousarray(values).ravel(),
-        minlength=num_groups * m,
-    ).reshape(num_groups, m)
+    return one_hot @ values

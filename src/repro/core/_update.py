@@ -25,14 +25,13 @@ with each ``C_qr`` obtained from a single ``bincount`` on the fused index
 ``a_q·h_r + a_r`` — ``O(n)`` per pair — and each matmul costing
 ``O(h_q·h_r·m)``.  Both forms remain ``Θ(p·n·m)`` asymptotically (the
 factored numerator still takes one ``grouped_row_sum`` pass over the data
-per set), but the factored per-set pass is a single fused ``bincount`` —
-index arithmetic plus one add per element, memory-bandwidth-bound —
-whereas the gather form materializes and walks several ``(n, m)`` float
-temporaries per set (the gathered rest, its combine, the subtraction, the
-optional weight product).  The only full-size allocation per factored pass
-is the fused ``(n, m)`` int64 index inside ``grouped_row_sum`` (plus
-``w·X`` once when weighted), which is where the measured ~3–10×
-constant-factor win comes from.
+per set), but the factored per-set pass is a single one-hot sparse
+product — one add per element, memory-bandwidth-bound — whereas the
+gather form materializes and walks several ``(n, m)`` float temporaries
+per set (the gathered rest, its combine, the subtraction, the optional
+weight product).  The factored pass allocates nothing of the data's size
+(``w·X`` is formed one row block at a time when weighted), which is
+where the measured ~3–10× constant-factor win comes from.
 
 The factored form *reorders* floating-point arithmetic relative to the
 gather form (grouped sums of ``x − rest`` versus grouped sums of ``x`` minus

@@ -79,7 +79,11 @@ def kmeans_plus_plus_init(
     centers = np.empty((n_clusters, X.shape[1]), dtype=X.dtype)
     first = rng.integers(n)
     centers[0] = X[first]
-    closest = squared_distances(X, centers[:1]).ravel()
+    # ‖x‖² once for all seeds, the same expression squared_distances uses.
+    x_squared_norms = np.einsum("ij,ij->i", X, X)
+    closest = squared_distances(
+        X, centers[:1], x_squared_norms=x_squared_norms
+    ).ravel()
     for i in range(1, n_clusters):
         # D² probabilities in float64 whatever the working dtype:
         # rng.choice normalization is strict, and float32 distances summed
@@ -92,7 +96,9 @@ def kmeans_plus_plus_init(
         else:
             idx = rng.choice(n, p=closest64 / total)
         centers[i] = X[idx]
-        new_distances = squared_distances(X, centers[i : i + 1]).ravel()
+        new_distances = squared_distances(
+            X, centers[i : i + 1], x_squared_norms=x_squared_norms
+        ).ravel()
         np.minimum(closest, new_distances, out=closest)
     return centers
 
@@ -282,30 +288,28 @@ class KMeans:
 
     def predict(self, X) -> np.ndarray:
         """Assign each row of ``X`` to its nearest learned centroid."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.cluster_centers_.dtype)
-        check_n_features(X, self.cluster_centers_.shape[1])
+        X, x_squared_norms = self._check_input(X)
         with RowBlockPool(self.n_threads) as pool:
             labels, _ = assign_to_nearest(
-                X, self.cluster_centers_, parallel=pool
+                X, self.cluster_centers_, x_squared_norms=x_squared_norms,
+                parallel=pool,
             )
         return labels
 
     def transform(self, X) -> np.ndarray:
         """Squared distances of each row of ``X`` to every centroid."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.cluster_centers_.dtype)
-        check_n_features(X, self.cluster_centers_.shape[1])
-        return squared_distances(X, self.cluster_centers_)
+        X, x_squared_norms = self._check_input(X)
+        return squared_distances(
+            X, self.cluster_centers_, x_squared_norms=x_squared_norms
+        )
 
     def score(self, X) -> float:
         """Negative inertia of ``X`` under the learned centroids."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.cluster_centers_.dtype)
-        check_n_features(X, self.cluster_centers_.shape[1])
+        X, x_squared_norms = self._check_input(X)
         with RowBlockPool(self.n_threads) as pool:
             _, distances = assign_to_nearest(
-                X, self.cluster_centers_, parallel=pool
+                X, self.cluster_centers_, x_squared_norms=x_squared_norms,
+                parallel=pool,
             )
         return -float(distances.sum(dtype=np.float64))
 
@@ -318,6 +322,20 @@ class KMeans:
     def _check_fitted(self) -> None:
         if self.cluster_centers_ is None:
             raise NotFittedError("this KMeans instance is not fitted yet; call fit first")
+
+    def _check_input(self, X):
+        """Validate ``X`` for the fitted model; return it with its ‖x‖².
+
+        Every materialized distance adds ‖x‖², so a norm that overflows
+        the model dtype would make the argmin and inertia meaningless:
+        refuse it, as ``fit`` does.
+        """
+        self._check_fitted()
+        X = check_array(X, dtype=self.cluster_centers_.dtype)
+        check_n_features(X, self.cluster_centers_.shape[1])
+        x_squared_norms = row_norms_squared(X)
+        check_finite_norms(x_squared_norms, X.dtype)
+        return X, x_squared_norms
 
     def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.init == "k-means++":
@@ -375,10 +393,10 @@ class KMeans:
             )
         new_centers = centers.copy()
         counts = _group_mass(labels, weights, self.n_clusters, parallel)
-        # Per-column bincount reduction (grouped_row_sum) over the
-        # fit-hoisted weighted matrix: same row-order accumulation as the
-        # np.add.at scatter it replaces, an order of magnitude faster — and
-        # with pruning this update is the iteration floor.
+        # One-hot sparse reduction (grouped_row_sum) over the fit-hoisted
+        # weighted matrix: same row-order accumulation as the np.add.at
+        # scatter it replaces, an order of magnitude faster — and with
+        # pruning this update is the iteration floor.
         sums = grouped_row_sum(labels, ctx.weighted_X, self.n_clusters, parallel)
         non_empty = counts > 0
         new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]

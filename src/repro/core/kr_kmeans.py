@@ -57,13 +57,12 @@ update of Proposition 6.1 becomes the per-iteration floor.  Its gather form
 materializes an ``(n, m)`` *rest* matrix per set, plus several same-size
 temporaries around it.  For the sum aggregator the grouped rest
 contribution factors through per-set-pair contingency count tables,
-``Σ_{a_q=j} θ_r[a_r] = (C_qr @ θ_r)[j]``, so the update needs one fused
-``bincount`` pass over the data per set plus tiny
-``(h_q, h_r) @ (h_r, m)`` matmuls — still ``Θ(p·n·m)``, but the only
-full-size temporary left is the fused bincount index, a measured ~3–10×
-constant-factor win (:mod:`repro.core._update`).  The two forms reorder
-floating
-point, so they agree to last-ulp drift; the ``update`` knob selects between
+``Σ_{a_q=j} θ_r[a_r] = (C_qr @ θ_r)[j]``, so the update needs one
+sparse grouped-sum pass over the data per set plus tiny
+``(h_q, h_r) @ (h_r, m)`` matmuls — still ``Θ(p·n·m)``, but with no
+full-size temporary at all, a measured ~3–10× constant-factor win
+(:mod:`repro.core._update`).  The two forms reorder floating point, so
+they agree to last-ulp drift; the ``update`` knob selects between
 them and ``"auto"`` uses the factored kernel whenever the aggregator
 advertises ``supports_factored_update`` (sum: yes; product: no — gather
 fallback).
@@ -219,7 +218,7 @@ class KhatriRaoKMeans:
         Strategy for the closed-form protocentroid update (Proposition 6.1).
         ``"factored"`` assembles each set's numerator through per-set-pair
         contingency count tables (``C_qr @ θ_r``) instead of gathering an
-        ``(n, m)`` rest matrix per set — one fused ``bincount`` pass per
+        ``(n, m)`` rest matrix per set — one sparse grouped-sum pass per
         set, a ~3–10× constant-factor win over the gather arithmetic (sum
         aggregator only; other
         aggregators fall back to ``"gather"`` transparently).  ``"gather"``

@@ -153,6 +153,21 @@ class TestNumericalRobustness:
         with pytest.raises(ValidationError, match=f"overflow {dtype}"):
             run(X)
 
+    @pytest.mark.parametrize("dtype,scale", [
+        ("float64", 1e200), ("float32", 1e20),
+    ])
+    @pytest.mark.parametrize("method", ["predict", "score", "transform"])
+    def test_kmeans_methods_refuse_overflowing_norms(self, method, dtype, scale):
+        # Every materialized distance adds ||x||^2, so an overflowing norm
+        # used to give silent garbage: predict -> [0, 0, 0] where the
+        # nearest centroids differ, score -> -inf, transform -> non-finite.
+        rng = np.random.default_rng(9)
+        model = KMeans(4, dtype=dtype, n_init=1, random_state=0).fit(
+            rng.normal(size=(200, 3))
+        )
+        with pytest.raises(ValidationError, match=f"overflow {dtype}"):
+            getattr(model, method)(np.eye(3) * scale)
+
     def test_naive_with_tol_zero(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(0.5, 2.0, size=(60, 2))

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from repro import KhatriRaoKMeans
 from repro.core import MiniBatchKhatriRaoKMeans, assign_factored, grouped_row_sum
-from repro.core._distances import assign_to_nearest, row_norms_squared
+from repro.core._distances import (
+    assign_to_nearest,
+    row_norms_squared,
+    squared_distances,
+)
+from repro.core import kmeans as kmeans_module
+from repro.core.kmeans import kmeans_plus_plus_init
 from repro.exceptions import ValidationError
 from repro.linalg import ProductAggregator, SumAggregator, khatri_rao_combine
 
@@ -145,6 +151,95 @@ class TestGroupedRowSum:
         np.testing.assert_allclose(
             grouped_row_sum(assignments, values, num_groups), expected, atol=1e-12
         )
+
+
+def _expression_squared_distances(X, C, x_squared_norms=None):
+    """The previous ``squared_distances``: the out-of-place expansion the
+    in-place kernel must reproduce bit for bit, output dtype included."""
+    if x_squared_norms is None:
+        x_squared_norms = np.einsum("ij,ij->i", X, X)
+    c_sq = np.einsum("ij,ij->i", C, C)[None, :]
+    distances = x_squared_norms[:, None] - 2.0 * (X @ C.T) + c_sq
+    np.maximum(distances, 0.0, out=distances)
+    return distances
+
+
+def _per_seed_norms_plus_plus(X, n_clusters, rng, squared_distances):
+    """The previous k-means++ loop, which recomputed ‖x‖² for every seed."""
+    n = X.shape[0]
+    centers = np.empty((n_clusters, X.shape[1]), dtype=X.dtype)
+    centers[0] = X[rng.integers(n)]
+    closest = squared_distances(X, centers[:1]).ravel()
+    for i in range(1, n_clusters):
+        closest64 = np.asarray(closest, dtype=np.float64)
+        total = closest64.sum()
+        if total <= 0.0:
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=closest64 / total)
+        centers[i] = X[idx]
+        new_distances = squared_distances(X, centers[i : i + 1]).ravel()
+        np.minimum(closest, new_distances, out=closest)
+    return centers
+
+
+class TestMaterializedKernelBits:
+    """The in-place ``squared_distances`` and the hoisted-norm k-means++
+    seeding against test-local copies of the code they replaced."""
+
+    @pytest.mark.parametrize("pass_norms", [False, True])
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    @pytest.mark.parametrize("x_dtype,c_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64),
+    ])
+    def test_squared_distances_bytes_match(self, x_dtype, c_dtype, offset, pass_norms):
+        rng = np.random.default_rng(17)
+        X = (offset + rng.normal(size=(300, 9))).astype(x_dtype)
+        C = (offset + rng.normal(size=(13, 9))).astype(c_dtype)
+        norms = np.einsum("ij,ij->i", X, X) if pass_norms else None
+        got = squared_distances(X, C, x_squared_norms=norms)
+        expected = _expression_squared_distances(X, C, norms)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+    def test_squared_distances_promotes_like_the_expression(self):
+        # float32 data scored with float64 norms: the expression promotes
+        # after the float32 product, and so must the in-place form.
+        rng = np.random.default_rng(18)
+        X = (100.0 + rng.normal(size=(50, 4))).astype(np.float32)
+        C = X[:6].copy()
+        norms = np.einsum("ij,ij->i", X, X).astype(np.float64)
+        got = squared_distances(X, C, x_squared_norms=norms)
+        expected = _expression_squared_distances(X, C, norms)
+        assert got.dtype == expected.dtype == np.float64
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plus_plus_seeds_match(self, dtype, monkeypatch):
+        # Same seeds and rng draws, and the same D² distances bit for bit:
+        # a small change in the distances would rarely move a seed.
+        def recorder(log):
+            def spy(*args, **kwargs):
+                distances = squared_distances(*args, **kwargs)
+                log.append(distances.copy())
+                return distances
+            return spy
+
+        got_log, expected_log = [], []
+        monkeypatch.setattr(kmeans_module, "squared_distances", recorder(got_log))
+        X = (100.0 + np.random.default_rng(19).normal(size=(500, 6))).astype(dtype)
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = kmeans_plus_plus_init(X, 12, rng)
+        expected = _per_seed_norms_plus_plus(
+            X, 12, reference_rng, recorder(expected_log)
+        )
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert len(got_log) == len(expected_log) == 12
+        for mine, theirs in zip(got_log, expected_log):
+            assert mine.dtype == theirs.dtype == dtype
+            assert np.array_equal(mine.view(np.uint8), theirs.view(np.uint8))
 
 
 class TestEstimatorEquivalence:

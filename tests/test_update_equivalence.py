@@ -38,6 +38,7 @@ from repro.core._update import (
 )
 from repro.exceptions import ValidationError
 from repro.linalg import ProductAggregator, SumAggregator
+from repro.runtime.parallel import row_blocks
 
 EPS = np.finfo(float).eps
 
@@ -254,6 +255,85 @@ class TestGroupedRowSumVectorization:
         np.testing.assert_allclose(
             grouped_row_sum(assignments, view, 3), expected, atol=1e-12
         )
+
+
+def _fused_bincount_block(assignments, values, num_groups):
+    """The previous grouped-sum block kernel: one flat ``np.bincount`` over
+    the fused index ``assignments·m + column``, kept here as the reference
+    the one-hot sparse kernel must reproduce bit for bit."""
+    m = values.shape[1]
+    if m == 0:
+        return np.zeros((num_groups, m), dtype=np.float64)
+    fused = assignments.astype(np.int64, copy=False)[:, None] * m + np.arange(
+        m, dtype=np.int64
+    )
+    return np.bincount(
+        fused.ravel(), weights=np.ascontiguousarray(values).ravel(),
+        minlength=num_groups * m,
+    ).reshape(num_groups, m)
+
+
+def _fused_bincount_grouped_row_sum(assignments, values, num_groups, weights=None):
+    """The previous ``grouped_row_sum``: fused-bincount partials per fixed
+    row block, weighted in the values dtype, folded in block order."""
+    parts = []
+    for start, stop in row_blocks(values.shape[0]) or ((0, 0),):
+        block = values[start:stop]
+        if weights is not None:
+            block = block * np.asarray(
+                weights[start:stop], dtype=values.dtype
+            )[:, None]
+        parts.append(
+            _fused_bincount_block(assignments[start:stop], block, num_groups)
+        )
+    out = parts[0]
+    for part in parts[1:]:
+        out += part
+    return out
+
+
+class TestGroupedRowSumMatchesFusedBincount:
+    """The one-hot sparse ``grouped_row_sum`` against the fused-bincount
+    kernel it replaced, byte for byte, across the row-block fold."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4097, 9000])
+    @pytest.mark.parametrize("label_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match(self, dtype, weighted, label_dtype, n):
+        rng = np.random.default_rng(n)
+        num_groups = 12
+        # Only even buckets are used, so half of them stay empty.
+        assignments = (2 * rng.integers(0, num_groups // 2, size=n)).astype(
+            label_dtype
+        )
+        values = (100.0 + 1e3 * rng.normal(size=(n, 7))).astype(dtype)
+        weights = rng.uniform(0.1, 3.0, size=n) if weighted else None
+        got = grouped_row_sum(assignments, values, num_groups, weights=weights)
+        expected = _fused_bincount_grouped_row_sum(
+            assignments, values, num_groups, weights
+        )
+        assert got.dtype == np.float64
+        assert got.shape == expected.shape == (num_groups, 7)
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+        if n > num_groups:
+            assert not got[1::2].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_view_bytes_match(self, dtype):
+        rng = np.random.default_rng(3)
+        wide = rng.normal(size=(9000, 16)).astype(dtype)
+        view = wide[:, ::3]
+        assignments = rng.integers(0, 5, size=9000)
+        got = grouped_row_sum(assignments, view, 5)
+        expected = _fused_bincount_grouped_row_sum(assignments, view, 5)
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_labels_are_typed(self, bad):
+        assignments = np.array([0, 1, bad, 2])
+        with pytest.raises(ValidationError, match="assignments"):
+            grouped_row_sum(assignments, np.ones((4, 3)), 4)
 
 
 class TestReseedRegression:
